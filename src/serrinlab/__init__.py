@@ -18,10 +18,8 @@ from .geometry import (
 )
 from .meshfem import (
     FemField,
-    HessianField,
     Mesh,
     generate_mesh,
-    recover_hessian,
     solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
     solve_torsion_neumann,

@@ -62,8 +62,23 @@ def boundary_normals(mesh):
     return _frames(mesh)[1]
 
 
+def boundary_tangents(mesh):
+    """Counter-clockwise unit tangents tau = (-nu_y, nu_x) at the boundary nodes."""
+    nu = boundary_normals(mesh)
+    return np.stack([-nu[:, 1], nu[:, 0]], axis=1)
+
+
 def boundary_curvatures(mesh):
     return _frames(mesh)[2]
+
+
+def hessian_flux(H, g, nu):
+    """<H g, nu> per node, for H (m,3) as xx, yy, xy and vectors g, nu (m,2)."""
+    Hg = np.stack(
+        [H[:, 0] * g[:, 0] + H[:, 2] * g[:, 1], H[:, 2] * g[:, 0] + H[:, 1] * g[:, 1]],
+        axis=1,
+    )
+    return np.einsum("ij,ij->i", Hg, nu)
 
 
 def trace(field) -> BoundaryFunction:
@@ -87,11 +102,9 @@ def tangential_gradient(field) -> BoundaryFunction:
     """
     mesh = field.mesh
     g = field.recovered.gradient[mesh.boundary_idx]
-    _, nu, _, speed = _frames(mesh)
-    tau = np.stack([-nu[:, 1], nu[:, 0]], axis=1)  # CCW tangent
-    vals = np.einsum("ij,ij->i", g, tau)
+    vals = np.einsum("ij,ij->i", g, boundary_tangents(mesh))
     out = BoundaryFunction(mesh, vals)
-    fd = _fd4_derivative(field.trace_values(), mesh.boundary_theta) / speed
+    fd = _fd4_derivative(field.trace_values(), mesh.boundary_theta) / out.metric
     out.fd_discrepancy = float(np.abs(vals - fd).max())
     return out
 
@@ -168,14 +181,8 @@ def lemma21_residual(u_field, kind, audit_tol=KIND_AUDIT_TOL) -> BoundaryFunctio
 
     idx = mesh.boundary_idx
     rec = u_field.recovered
-    g = rec.gradient[idx]
-    H = rec.hessian[idx]                      # (m,3): xx, yy, xy
     _, nu, kappa, _ = _frames(mesh)
-    Hg = np.stack(
-        [H[:, 0] * g[:, 0] + H[:, 2] * g[:, 1], H[:, 2] * g[:, 0] + H[:, 1] * g[:, 1]],
-        axis=1,
-    )
-    lhs = np.einsum("ij,ij->i", Hg, nu)
+    lhs = hessian_flux(rec.hessian[idx], rec.gradient[idx], nu)
     if kind == "dirichlet":
         rhs = unu.values * (2.0 - kappa * unu.values)
     else:

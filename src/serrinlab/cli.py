@@ -130,8 +130,8 @@ class Run:
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 

@@ -7,6 +7,10 @@ class SerrinLabError(Exception):
 
 # -- domain construction / geometry --------------------------------------
 
+class InvalidSpec(SerrinLabError, ValueError):
+    """A domain spec or mesh parameter is missing, non-finite or out of range."""
+
+
 class NonPositiveRadius(SerrinLabError):
     """The radial boundary graph r(theta) dips to zero or below."""
 

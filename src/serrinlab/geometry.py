@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import periodic_integral
-from .errors import NonPositiveRadius, NotStarShaped, OutsideDomain, PointNotInterior
+from .errors import (
+    InvalidSpec,
+    NonPositiveRadius,
+    NotStarShaped,
+    OutsideDomain,
+    PointNotInterior,
+)
 
 _DENSE_SAMPLE = 4096
 # Quantitative star-shapedness margin: <gamma - center, nu> >= margin * rho0
@@ -153,6 +159,8 @@ class EllipseDomain(RadialDomain):
     """
 
     def __init__(self, a, b, center=(0.0, 0.0)):
+        _require_finite("ellipse semi-axes", (a, b))
+        _require_finite("center", center)
         if a <= 0 or b <= 0:
             raise NonPositiveRadius("ellipse semi-axes must be positive")
         self.a = float(a)
@@ -188,17 +196,31 @@ class EllipseDomain(RadialDomain):
         return f"EllipseDomain(a={self.a}, b={self.b})"
 
 
+def _require_finite(name, values):
+    try:
+        finite = np.isfinite(np.asarray(values, dtype=float)).all()
+    except (TypeError, ValueError):   # not numbers, or ragged mode rows
+        finite = False
+    if not finite:
+        raise InvalidSpec(f"{name} must be finite numbers, got {values!r}")
+
+
 def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
     """Validate and construct a StarDomain.
 
     Raises
     ------
+    InvalidSpec
+        if rho0, a mode entry or the center is not finite.
     NonPositiveRadius
         if min_theta r(theta) <= 0 on a dense sample.
     NotStarShaped
         if the truncation condition sum k^2 (|a_k|+|b_k|) >= 1 or the
         star-shapedness margin <gamma - center, nu> >= 0.1 rho0 fails.
     """
+    _require_finite("rho0", rho0)
+    _require_finite("fourier modes", fourier_modes)
+    _require_finite("center", center)
     if rho0 <= 0:
         raise NonPositiveRadius(f"rho0 must be positive, got {rho0}")
     domain = StarDomain(rho0, fourier_modes, center)
@@ -229,6 +251,8 @@ def domain_from_spec(spec) -> RadialDomain:
     if "ellipse" in spec:
         a, b = spec["ellipse"]
         return EllipseDomain(a, b, center)
+    if "rho0" not in spec:
+        raise InvalidSpec("domain spec needs 'rho0' or 'ellipse'")
     return build_domain(spec["rho0"], [tuple(m) for m in spec.get("modes", [])], center)
 
 

@@ -25,13 +25,15 @@ from .boundary import (
     BoundaryFunction,
     boundary_curvatures,
     boundary_normals,
+    boundary_tangents,
+    hessian_flux,
     normal_derivative,
     spectral_tangential_derivative,
     trace,
 )
 from .errors import NotDirichlet, NotNeumann, NotTorsion
 from .geometry import radii_about
-from .meshfem import FemField, nodal_to_quad, quad_integral
+from .meshfem import FemField, quad_integral, recovered_hessian_at_quad
 
 SOURCE = 2.0
 RESIDUAL_FLOOR = 1e-14
@@ -137,7 +139,7 @@ class _BoundaryData:
         self.ubar = float(self.trace.max())
         self.f = self.ubar - self.trace                      # (ubar - u) on the curve
         self.nu = boundary_normals(mesh)
-        self.tau = np.stack([-self.nu[:, 1], self.nu[:, 0]], axis=1)
+        self.tau = boundary_tangents(mesh)
         self.u_nu = normal_derivative(field).values
         if field.analytic_gradient is not None:
             g = field.analytic_gradient(mesh.nodes[mesh.boundary_idx])
@@ -151,27 +153,26 @@ class _BoundaryData:
         self.weights = BoundaryFunction(mesh, self.trace).weights
         self.points = mesh.nodes[mesh.boundary_idx]
         # <H grad u, nu> with the decomposition-consistent gradient vector
-        H = field.recovered.hessian[mesh.boundary_idx]
         gvec = self.u_nu[:, None] * self.nu + self.u_tau[:, None] * self.tau
-        Hg = np.stack(
-            [
-                H[:, 0] * gvec[:, 0] + H[:, 2] * gvec[:, 1],
-                H[:, 2] * gvec[:, 0] + H[:, 1] * gvec[:, 1],
-            ],
-            axis=1,
+        self.hess_flux = hessian_flux(
+            field.recovered.hessian[mesh.boundary_idx], gvec, self.nu
         )
-        self.hess_flux = np.einsum("ij,ij->i", Hg, self.nu)
 
     def integrate(self, values):
         return float(np.dot(values, self.weights))
 
 
-def _paraboloid_boundary(mesh, z):
+def paraboloid_boundary(mesh, z):
     """Analytic q_nu and q_tau for q = |x - z|^2 / 2 on the boundary."""
-    nu = boundary_normals(mesh)
-    tau = np.stack([-nu[:, 1], nu[:, 0]], axis=1)
     rel = mesh.nodes[mesh.boundary_idx] - np.asarray(z, dtype=float)
-    return np.einsum("ij,ij->i", rel, nu), np.einsum("ij,ij->i", rel, tau)
+    return (np.einsum("ij,ij->i", rel, boundary_normals(mesh)),
+            np.einsum("ij,ij->i", rel, boundary_tangents(mesh)))
+
+
+def flux_constant(field):
+    """R_disc of a constant-flux solve, else the domain's R = 2|Omega|/|Gamma|."""
+    R = getattr(field, "R_disc", None)
+    return field.mesh.domain.measures.R if R is None else R
 
 
 def paraboloid_field(mesh, z, a=0.0) -> FemField:
@@ -193,11 +194,14 @@ def paraboloid_field(mesh, z, a=0.0) -> FemField:
 
 def _delta_p_quad(field):
     """|H_rec|^2 - 2 at volume quadrature points (components interpolated)."""
-    H = field.recovered.hessian
-    hxx = nodal_to_quad(field.mesh, H[:, 0])
-    hyy = nodal_to_quad(field.mesh, H[:, 1])
-    hxy = nodal_to_quad(field.mesh, H[:, 2])
+    hxx, hyy, hxy = recovered_hessian_at_quad(field)
     return hxx**2 + hyy**2 + 2.0 * hxy**2 - SOURCE
+
+
+def hess_h_sq_quad(field):
+    """|I - H_rec|^2 at volume quadrature points: |D^2 h|^2 for h = q - u."""
+    hxx, hyy, hxy = recovered_hessian_at_quad(field)
+    return (1.0 - hxx) ** 2 + (1.0 - hyy) ** 2 + 2.0 * hxy**2
 
 
 def _ubar_minus_u_quad(field, ubar):
@@ -253,10 +257,7 @@ def eval_general_identity(u_field, v_field) -> IdentityReport:
     volume_p = quad_integral(mesh, f_quad * _delta_p_quad(u_field))
 
     gu = u_field.gradient_at_quad()
-    Hv = v_field.recovered.hessian
-    hxx = nodal_to_quad(mesh, Hv[:, 0])
-    hyy = nodal_to_quad(mesh, Hv[:, 1])
-    hxy = nodal_to_quad(mesh, Hv[:, 2])
+    hxx, hyy, hxy = recovered_hessian_at_quad(v_field)
     cross = (
         (1.0 - hxx) * gu[..., 0] ** 2
         + (1.0 - hyy) * gu[..., 1] ** 2
@@ -296,7 +297,7 @@ def eval_mother_identity(u_field, z, a=0.0):
     audit_torsion(u_field)
     mesh = u_field.mesh
     bu = _BoundaryData(u_field)
-    q_nu, q_tau = _paraboloid_boundary(mesh, z)
+    q_nu, q_tau = paraboloid_boundary(mesh, z)
 
     f_quad = _ubar_minus_u_quad(u_field, bu.ubar)
     volume_p = quad_integral(mesh, f_quad * _delta_p_quad(u_field))
@@ -345,19 +346,12 @@ def eval_neumann_identity(u_field, z) -> IdentityReport:
     osc_unu = audit_neumann(u_field)
     mesh = u_field.mesh
     bu = _BoundaryData(u_field)
-    q_nu, _ = _paraboloid_boundary(mesh, z)
-    R = getattr(u_field, "R_disc", None)
-    if R is None:
-        R = mesh.domain.measures.R
+    q_nu, _ = paraboloid_boundary(mesh, z)
+    R = flux_constant(u_field)
     h_nu = q_nu - bu.u_nu
 
-    H = u_field.recovered.hessian
-    hxx = nodal_to_quad(mesh, H[:, 0])
-    hyy = nodal_to_quad(mesh, H[:, 1])
-    hxy = nodal_to_quad(mesh, H[:, 2])
-    hess_h_sq = (1.0 - hxx) ** 2 + (1.0 - hyy) ** 2 + 2.0 * hxy**2
     f_quad = _ubar_minus_u_quad(u_field, bu.ubar)
-    volume = quad_integral(mesh, f_quad * hess_h_sq)
+    volume = quad_integral(mesh, f_quad * hess_h_sq_quad(u_field))
 
     t1 = 0.5 * bu.integrate(bu.u_tau**2 * h_nu)
     t2 = bu.integrate(bu.f * (R * bu.kappa - SOURCE) * h_nu)
@@ -389,7 +383,7 @@ def eval_classical_identity(u_field, z, a=0.0) -> IdentityReport:
     osc_trace = audit_dirichlet(u_field)
     mesh = u_field.mesh
     bu = _BoundaryData(u_field)
-    q_nu, _ = _paraboloid_boundary(mesh, z)
+    q_nu, _ = paraboloid_boundary(mesh, z)
     R = mesh.domain.measures.R
 
     f_quad = _ubar_minus_u_quad(u_field, bu.ubar)

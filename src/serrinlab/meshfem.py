@@ -11,7 +11,6 @@ constant-source Dirichlet, constant-flux Neumann (zero-mean gauge via a
 Lagrange multiplier), and harmonic extension of boundary data.
 """
 
-import json
 import math
 import os
 
@@ -20,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._quadrature import gauss_legendre_01, triangle_rule
-from .errors import DegeneratePatch, MeshTooFine, SolverFailure
+from .errors import DegeneratePatch, InvalidSpec, MeshTooFine, SolverFailure
 from .geometry import domain_from_spec
 
 SOURCE = 2.0          # constant Laplacian of the torsion field in the plane
@@ -94,6 +93,20 @@ _EDGE_SHAPE = lambda s: np.stack(
 _EDGE_DSHAPE = lambda s: np.stack([4 * s - 3, 4 * s - 1, 4 - 8 * s], axis=1)
 
 
+def _inverse_jacobian(J):
+    """(detJ, inv) of reference-to-physical Jacobians J[..., d, k] = dx_k/dxi_d.
+
+    inv[..., d, k] = d(xi_d)/d(x_k), i.e. (J^{-1})^T, by cofactors.
+    """
+    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    inv = np.empty_like(J)
+    inv[..., 0, 0] = J[..., 1, 1]
+    inv[..., 0, 1] = -J[..., 1, 0]
+    inv[..., 1, 0] = -J[..., 0, 1]
+    inv[..., 1, 1] = J[..., 0, 0]
+    return detJ, inv / detJ[..., None, None]
+
+
 # -- mesh -------------------------------------------------------------------
 
 class Mesh:
@@ -129,15 +142,8 @@ class Mesh:
             N = p2_shape(ref)
             dN = p2_dshape(ref)
             coords = self.nodes[self.triangles]            # (T,6,2)
-            J = np.einsum("tnk,qnd->tqdk", coords, dN)     # (T,Q,2,2): J[d,k]=dx_k/dxi_d
-            detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-            # inv[d,k] = d(xi_d)/d(x_k), i.e. (J^{-1})^T of J[d,k] = d(x_k)/d(xi_d)
-            inv = np.empty_like(J)
-            inv[..., 0, 0] = J[..., 1, 1]
-            inv[..., 0, 1] = -J[..., 1, 0]
-            inv[..., 1, 0] = -J[..., 0, 1]
-            inv[..., 1, 1] = J[..., 0, 0]
-            inv = inv / detJ[..., None, None]
+            J = np.einsum("tnk,qnd->tqdk", coords, dN)     # (T,Q,2,2)
+            detJ, inv = _inverse_jacobian(J)
             g = np.einsum("qnd,tqdk->tqnk", dN, inv)
             qp = np.einsum("qn,tnk->tqk", N, coords)
             self._cache[key] = {"w": w, "N": N, "detJ": detJ, "grad": g, "qp": qp}
@@ -251,7 +257,7 @@ def generate_mesh(domain, h_target, dof_cap=None, boundary_refine=BOUNDARY_REFIN
     cap (default 400k, overridable via SERRINLAB_DOF_CAP).
     """
     if not 0.0 < h_target < domain.rho0:
-        raise ValueError(f"h_target must lie in (0, rho0), got {h_target}")
+        raise InvalidSpec(f"h_target must lie in (0, rho0), got {h_target}")
     if dof_cap is None:
         dof_cap = int(os.environ.get("SERRINLAB_DOF_CAP", DEFAULT_DOF_CAP))
 
@@ -378,6 +384,18 @@ def assemble_mass(mesh):
     return mesh._cache["M"]
 
 
+def lumped_mass(mesh):
+    """Row sums of the mass matrix: m_i = integral of phi_i over Omega."""
+    return np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
+
+
+def bordered_stiffness(mesh):
+    """The zero-mean bordered system [[K, m], [m^T, 0]] in CSC form."""
+    K = assemble_stiffness(mesh)
+    m = lumped_mass(mesh)
+    return sp.bmat([[K, m[:, None]], [m[None, :], None]], format="csc")
+
+
 def _scatter(mesh, local):
     T = mesh.triangles
     rows = np.repeat(T, 6, axis=1).ravel()
@@ -456,33 +474,12 @@ class RecoveredDerivatives:
         self.flagged = flagged      # node indices that fell back to element values
 
 
-class HessianField:
-    """Nodal recovered Hessians with per-element constant fallback."""
-
-    def __init__(self, field):
-        rec = field.recovered
-        self.field = field
-        self.node_hessians = rec.hessian
-        self.flagged = rec.flagged
-        self.element_fallback = _element_hessians(field)
-
-    def frobenius_sq_nodal(self):
-        H = self.node_hessians
-        return H[:, 0] ** 2 + H[:, 1] ** 2 + 2.0 * H[:, 2] ** 2
-
-
 def _element_hessians(field):
     """Constant per-element Hessian from the affine part of the map."""
     mesh = field.mesh
     v = mesh.nodes[mesh.triangles[:, :3]]
     J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=1)  # (T,2,2)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    inv = np.empty_like(J)   # inv[d,k] = d(xi_d)/d(x_k)
-    inv[:, 0, 0] = J[:, 1, 1]
-    inv[:, 0, 1] = -J[:, 1, 0]
-    inv[:, 1, 0] = -J[:, 0, 1]
-    inv[:, 1, 1] = J[:, 0, 0]
-    inv /= det[:, None, None]
+    _, inv = _inverse_jacobian(J)
     c = field.coeffs[mesh.triangles]               # (T,6)
     h_ref = c @ _P2_D2                             # (T,3): xx, yy, xy in ref coords
     Href = np.empty((len(c), 2, 2))
@@ -510,14 +507,7 @@ def _recover(field):
     tris = mesh.triangles
     coords = mesh.nodes[tris]
     dN = p2_dshape(_SPR_REF)                       # (3,6,2)
-    J = np.einsum("tnk,qnd->tqdk", coords, dN)
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    inv = np.empty_like(J)   # inv[d,k] = d(xi_d)/d(x_k)
-    inv[..., 0, 0] = J[..., 1, 1]
-    inv[..., 0, 1] = -J[..., 1, 0]
-    inv[..., 1, 0] = -J[..., 0, 1]
-    inv[..., 1, 1] = J[..., 0, 0]
-    inv = inv / detJ[..., None, None]
+    _, inv = _inverse_jacobian(np.einsum("tnk,qnd->tqdk", coords, dN))
     gref = np.einsum("qnd,tn->tqd", dN, field.coeffs[tris])
     gsamp = np.einsum("tqd,tqdk->tqk", gref, inv)          # (T,3,2) physical grads
     psamp = np.einsum("qn,tnk->tqk", p2_shape(_SPR_REF), coords)
@@ -560,11 +550,6 @@ def _recover(field):
     return RecoveredDerivatives(grad, hess, flagged)
 
 
-def recover_hessian(field) -> HessianField:
-    """Recovered second derivatives of a quadratic-element field."""
-    return HessianField(field)
-
-
 # -- solvers ----------------------------------------------------------------
 
 def _residual_scale(A, x, b):
@@ -580,8 +565,8 @@ def _check_residual(A, x, b, label):
     return rel
 
 
-def _direct_solve(A_csc, b, label):
-    """Sparse LU with one round of iterative refinement."""
+def _direct_solve(A_csc, b):
+    """Sparse LU with up to two rounds of iterative refinement."""
     lu = spla.splu(A_csc)
     x = lu.solve(b)
     den = np.linalg.norm(b)
@@ -598,12 +583,11 @@ def _direct_solve(A_csc, b, label):
 def solve_torsion_dirichlet(mesh) -> FemField:
     """Solve Laplacian(u) = 2 with u = 0 on the boundary."""
     K = assemble_stiffness(mesh)
-    m = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
-    b = -SOURCE * m
+    b = -SOURCE * lumped_mass(mesh)
     free = ~mesh.boundary_mask
     Kff = K[free][:, free].tocsc()
     u = np.zeros(mesh.n_nodes)
-    u[free] = _direct_solve(Kff, b[free], "torsion-dirichlet")
+    u[free] = _direct_solve(Kff, b[free])
     _check_residual(Kff, u[free], b[free], "torsion-dirichlet")
     return FemField(mesh, u, kind="torsion_dirichlet")
 
@@ -617,15 +601,14 @@ def solve_torsion_neumann(mesh) -> FemField:
     Lagrange multiplier, keeping the system symmetric.
     """
     K = assemble_stiffness(mesh)
-    m = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
+    m = lumped_mass(mesh)
     g = boundary_load_vector(mesh)
     area_h = m.sum()
     perim_h = g.sum()
     r_disc = SOURCE * area_h / perim_h
     b = r_disc * g - SOURCE * m
-    A = sp.bmat([[K, m[:, None]], [m[None, :], None]], format="csc")
     rhs = np.concatenate([b, [0.0]])
-    sol = _direct_solve(A, rhs, "torsion-neumann")
+    sol = _direct_solve(bordered_stiffness(mesh), rhs)
     u = sol[:-1]
     _check_residual(K, u, b, "torsion-neumann")
     field = FemField(mesh, u, kind="torsion_neumann")
@@ -653,7 +636,7 @@ def solve_harmonic_dirichlet(mesh, g) -> FemField:
     free = ~mesh.boundary_mask
     b = -(K @ u)[free]
     Kff = K[free][:, free].tocsc()
-    u[free] = _direct_solve(Kff, b, "harmonic-dirichlet")
+    u[free] = _direct_solve(Kff, b)
     if np.linalg.norm(b) > 0:
         _check_residual(Kff, u[free], b, "harmonic-dirichlet")
     return FemField(mesh, u, kind="harmonic_dirichlet")
@@ -686,6 +669,11 @@ def nodal_to_quad(mesh, nodal, degree=VOLUME_DEGREE):
     """Interpolate nodal values to quadrature points, shape (T, Q)."""
     ops = mesh.element_ops(degree)
     return np.einsum("qn,tn->tq", ops["N"], np.asarray(nodal)[mesh.triangles])
+
+
+def recovered_hessian_at_quad(field):
+    """Recovered Hessian components [hxx, hyy, hxy] at volume quadrature points."""
+    return [nodal_to_quad(field.mesh, h) for h in field.recovered.hessian.T]
 
 
 def quad_integral(mesh, vals_tq, degree=VOLUME_DEGREE) -> float:
@@ -747,11 +735,6 @@ def _invert_map(mesh, elem, x, iters=30):
     return ref
 
 
-def eval_field(field, elem, ref):
-    N = p2_shape(np.atleast_2d(ref))[0]
-    return float(N @ field.coeffs[field.mesh.triangles[elem]])
-
-
 def eval_gradient(field, elem, ref):
     coords = field.mesh.nodes[field.mesh.triangles[elem]]
     dN = p2_dshape(np.atleast_2d(ref))[0]
@@ -801,13 +784,3 @@ def field_from_dict(data):
         h_max=data["h_max"],
     )
     return FemField(mesh, np.array(data["coeffs"]), kind=data["kind"])
-
-
-def save_field(field, path):
-    with open(path, "w") as fh:
-        json.dump(field_to_dict(field), fh)
-
-
-def load_field(path):
-    with open(path) as fh:
-        return field_from_dict(json.load(fh))

@@ -11,16 +11,16 @@ factorization of the mean-pinned stiffness system.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .boundary import BoundaryFunction, boundary_normals
+from .boundary import BoundaryFunction
 from .errors import ConvergenceFailure
-from .identities import audit_neumann
+from .identities import audit_neumann, flux_constant, paraboloid_boundary
 from .meshfem import (
     FemField,
     assemble_mass,
     assemble_stiffness,
+    bordered_stiffness,
     nodal_to_quad,
     quad_integral,
     volume_integral,
@@ -42,10 +42,7 @@ class EigenResult:
 def _pinned_solver(mesh):
     """Factorized solve of K y = rhs subject to zero volume mean."""
     if "eig_solver" not in mesh._cache:
-        K = assemble_stiffness(mesh)
-        m = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
-        A = sp.bmat([[K, m[:, None]], [m[None, :], None]], format="csc")
-        lu = spla.splu(A)
+        lu = spla.splu(bordered_stiffness(mesh))
         n = mesh.n_nodes
 
         def solve(rhs):
@@ -152,13 +149,8 @@ def check_l2_oscillation_bound(u_field, z, a=0.0) -> OscillationL2Report:
     dev = h - h_mean
     lhs = float(np.sqrt(quad_integral(mesh, nodal_to_quad(mesh, dev) ** 2)))
 
-    bpts = mesh.nodes[mesh.boundary_idx]
-    nu = boundary_normals(mesh)
-    q_nu = np.einsum("ij,ij->i", bpts - z, nu)
-    R = getattr(u_field, "R_disc", None)
-    if R is None:
-        R = mesh.domain.measures.R
-    bf = BoundaryFunction(mesh, (R - q_nu) ** 2)
+    q_nu, _ = paraboloid_boundary(mesh, z)
+    bf = BoundaryFunction(mesh, (flux_constant(u_field) - q_nu) ** 2)
     flux_dev = float(np.sqrt(np.dot(bf.values, bf.weights)))
     h_bnd = BoundaryFunction(mesh, h[mesh.boundary_idx])
     h_mean_boundary = float(np.dot(h_bnd.values, h_bnd.weights) / h_bnd.weights.sum())

@@ -18,13 +18,13 @@ import numpy as np
 from .boundary import holder_seminorm, normal_derivative, tangential_gradient, trace
 from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidVariant
 from .geometry import build_domain, distances_to_boundary, radii_about
-from .identities import audit_neumann, audit_torsion
+from .identities import audit_neumann, audit_torsion, flux_constant, hess_h_sq_quad
 from .meshfem import (
+    _P2_D2,
     FemField,
     eval_gradient,
     generate_mesh,
     locate_point,
-    nodal_to_quad,
     p2_dshape,
     p2_shape,
     quad_integral,
@@ -75,9 +75,6 @@ def _element_min(coeffs6):
     """Exact minimum of the quadratic on the reference triangle."""
     ref0 = np.zeros((1, 2))
     b = (coeffs6 @ p2_dshape(ref0)[0]).astype(float)       # gradient at origin
-    # constant reference Hessian from the shape table
-    from .meshfem import _P2_D2
-
     h = coeffs6 @ _P2_D2                                   # (xx, yy, xy)
     A = np.array([[h[0], h[2]], [h[2], h[1]]])
     cands = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -278,11 +275,7 @@ def oscillation_bound_check(u_field, z=None, alpha=DEFAULT_ALPHA,
     h_trace = 0.5 * ((bpts - z) ** 2).sum(1) - tr.values
     osc_h = float(h_trace.max() - h_trace.min())
 
-    H = u_field.recovered.hessian
-    hxx = nodal_to_quad(mesh, H[:, 0])
-    hyy = nodal_to_quad(mesh, H[:, 1])
-    hxy = nodal_to_quad(mesh, H[:, 2])
-    hess_sq = (1.0 - hxx) ** 2 + (1.0 - hyy) ** 2 + 2.0 * hxy**2
+    hess_sq = hess_h_sq_quad(u_field)
     W = float(np.sqrt(quad_integral(mesh, _quad_distances(mesh) * hess_sq)))
     ubar = float(tr.values.max())
     V = float(quad_integral(mesh, (ubar - u_field.values_at_quad()) * hess_sq))
@@ -359,8 +352,8 @@ def sweep_member(mode, epsilon, rho0, h_target, alpha=DEFAULT_ALPHA):
     """One sweep record: solve at two mesh levels, Richardson-extrapolate."""
     flags = []
     per_level = []
+    domain = build_domain(rho0, [(mode, epsilon, 0.0)] if epsilon else [])
     for h in (h_target, 0.5 * h_target):
-        domain = build_domain(rho0, [(mode, epsilon, 0.0)] if epsilon else [])
         u = solve_torsion_neumann(generate_mesh(domain, h))
         res = argmin_point(u)
         rho_i, rho_e = radii_about(domain, res.z)
@@ -478,10 +471,7 @@ def strong_deviation_pipeline(u_field, alpha=DEFAULT_ALPHA) -> StrongDeviationRe
     trace_res = float(np.abs(f.trace_values()).max())
     lap_res = audit_torsion(f)
     f_nu = normal_derivative(f)
-    R = getattr(u_field, "R_disc", None)
-    if R is None:
-        R = mesh.domain.measures.R
-    dev = R - f_nu.values
+    dev = flux_constant(u_field) - f_nu.values
     flux_l2 = float(np.sqrt(np.dot(dev**2, f_nu.weights)))
     hol = holder_seminorm(dev, f_nu.arclengths, f_nu.total_length, alpha,
                           mesh.h_max)

@@ -103,6 +103,12 @@ def test_sweep_csv_deterministic(tmp_path):
         assert code == 0
         outs.append((out / "sweep_records.csv").read_text())
     assert outs[0] == outs[1]
+    header, *rows = [line.split(",") for line in outs[0].splitlines()]
+    assert rows and all(len(row) == len(header) for row in rows)
+    for row in rows:
+        for name, cell in zip(header, row):
+            if name != "flags":
+                float(cell)
 
 
 def test_missing_domain_file_is_operational_error(tmp_path):
@@ -111,6 +117,25 @@ def test_missing_domain_file_is_operational_error(tmp_path):
          str(tmp_path / "nope.json"), "--h-target", "0.1"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        ({"rho0": 1.0, "modes": []}, ["solve", "--h-target", "1.5"]),
+        ({"modes": []}, ["solve", "--h-target", "0.1"]),
+        ({"rho0": "one"}, ["solve", "--h-target", "0.1"]),
+        (None, ["sweep", "--amplitudes", "0.05,nan", "--h-target", "0.1"]),
+    ],
+)
+def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = argv + ["--domain", str(path)]
+    code = main(["--out", str(tmp_path / "r")] + argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_convergence_study_rigid_flag(disk_spec):

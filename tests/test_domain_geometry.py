@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from serrinlab.errors import (
+    InvalidSpec,
     NonPositiveRadius,
     NotStarShaped,
     OutsideDomain,
@@ -55,6 +56,24 @@ def test_truncation_condition_rejected():
 def test_nonpositive_rho0_rejected():
     with pytest.raises(NonPositiveRadius):
         build_domain(-1.0, [])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_domain(1.0, [(2, np.nan, 0.0)]),
+        lambda: build_domain(1.0, [(2, 0.05, np.inf)]),
+        lambda: build_domain(np.nan, []),
+        lambda: build_domain(1.0, [], center=(np.nan, 0.0)),
+        lambda: EllipseDomain(np.nan, 1.0),
+        lambda: EllipseDomain(2.0, 1.0, center=(0.0, np.inf)),
+    ],
+)
+def test_non_finite_spec_rejected(make):
+    # comparisons with NaN are all false, so without this check the domain
+    # is accepted and meshing it never terminates; only the constructors run
+    with pytest.raises(InvalidSpec):
+        make()
 
 
 # -- boundary frames -------------------------------------------------------

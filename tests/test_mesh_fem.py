@@ -10,7 +10,6 @@ from serrinlab.meshfem import (
     field_from_dict,
     field_to_dict,
     generate_mesh,
-    recover_hessian,
     solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
     solve_torsion_neumann,
@@ -135,9 +134,9 @@ def test_harmonic_linear(disk_mesh):
 
 def test_recover_quadratic_exact(disk_mesh):
     f = FemField(disk_mesh, 0.5 * (disk_mesh.nodes**2).sum(1))
-    H = recover_hessian(f)
+    H = f.recovered.hessian
     interior = np.linalg.norm(disk_mesh.nodes, axis=1) < 0.8
-    err = np.abs(H.node_hessians[interior] - np.array([1.0, 1.0, 0.0]))
+    err = np.abs(H[interior] - np.array([1.0, 1.0, 0.0]))
     assert err.max() < 1e-9
 
 
@@ -149,10 +148,10 @@ def test_recover_gradient_quadratic(disk_mesh):
 
 
 def test_recover_ellipse_torsion_hessian(ellipse_dirichlet):
-    H = recover_hessian(ellipse_dirichlet)
+    H = ellipse_dirichlet.recovered.hessian
     nodes = ellipse_dirichlet.mesh.nodes
     interior = (nodes[:, 0] / 2) ** 2 + nodes[:, 1] ** 2 < 0.7
-    err = np.abs(H.node_hessians[interior] - np.array([0.4, 1.6, 0.0]))
+    err = np.abs(H[interior] - np.array([0.4, 1.6, 0.0]))
     assert err.max() < 1e-4
 
 
@@ -236,14 +235,11 @@ def test_harmonic_strong_form_audit(pdisk_neumann):
 def test_ball_rigidity_volume_integral(disk_dirichlet):
     # h = q - u is constant on the ball, so the weighted Hessian integral
     # sits at the recovery noise floor
-    from serrinlab.meshfem import nodal_to_quad, quad_integral
+    from serrinlab.identities import hess_h_sq_quad
+    from serrinlab.meshfem import quad_integral
 
     mesh = disk_dirichlet.mesh
-    H = disk_dirichlet.recovered.hessian
-    hxx = nodal_to_quad(mesh, H[:, 0])
-    hyy = nodal_to_quad(mesh, H[:, 1])
-    hxy = nodal_to_quad(mesh, H[:, 2])
-    hess_h_sq = (1 - hxx) ** 2 + (1 - hyy) ** 2 + 2 * hxy**2
+    hess_h_sq = hess_h_sq_quad(disk_dirichlet)
     ubar = float(disk_dirichlet.trace_values().max())
     V = quad_integral(mesh, (ubar - disk_dirichlet.values_at_quad()) * hess_h_sq)
     assert 0.0 <= V <= 1e-8
