@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SerrinLabError
+from .errors import InvalidSpec, SerrinLabError
 from .geometry import domain_from_spec
 from .identities import (
     eval_classical_identity,
@@ -135,6 +135,17 @@ def _fmt(v):
     return str(v)
 
 
+def _numbers(text, flag, kind):
+    """Comma-separated finite numbers of a CLI flag, as a list of `kind`."""
+    try:
+        values = [kind(t) for t in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise InvalidSpec(f"{flag} needs comma-separated finite numbers, got {text!r}")
+    return values
+
+
 def _load_domain(args):
     with open(args.domain) as fh:
         return domain_from_spec(json.load(fh))
@@ -177,9 +188,14 @@ def cmd_solve(args):
 
 def cmd_verify_identity(args):
     run = Run(args, "verify-identity")
+    z = None
+    if args.z != "auto":
+        z = np.array(_numbers(args.z, "--z", float))
+        if z.shape != (2,):
+            raise InvalidSpec(f"--z needs 'auto' or two numbers x,y, got {args.z!r}")
     domain = _load_domain(args)
     mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
-    reports = _identity_reports(mesh, args.identity, args.z)
+    reports = _identity_reports(mesh, args.identity, z)
     status = PASS
     for rep in reports:
         data = rep.to_dict()
@@ -191,18 +207,17 @@ def cmd_verify_identity(args):
     return run.finish(status)
 
 
-def _identity_reports(mesh, identity, z_arg):
+def _identity_reports(mesh, identity, z):
+    """Reports of one identity; z None means the automatic point."""
     if identity in ("neumann_1_11", "general_1_9"):
         u = solve_torsion_neumann(mesh)
     else:
         u = solve_torsion_dirichlet(mesh)
-    if z_arg == "auto":
+    if z is None:
         if u.kind == "torsion_neumann":
             z = argmin_point(u).z
         else:
             z = np.asarray(mesh.domain.center, dtype=float)
-    else:
-        z = np.array([float(t) for t in z_arg.split(",")])
     if identity == "classical_1_2":
         return [eval_classical_identity(u, z)]
     if identity == "neumann_1_11":
@@ -216,7 +231,7 @@ def _identity_reports(mesh, identity, z_arg):
 
 def cmd_pointwise_identity(args):
     run = Run(args, "pointwise-identity")
-    dims = [int(d) for d in args.N.split(",")]
+    dims = _numbers(args.N, "--N", int)
     rows = identity_case_table(dims, args.degree, args.cases, args.seed)
     header = ["N", "degree", "seed", "residual_is_zero", "spot_residual"]
     run.write_csv(
@@ -254,7 +269,7 @@ def cmd_spectral(args):
 
 def cmd_sweep(args):
     run = Run(args, "sweep")
-    amplitudes = [float(a) for a in args.amplitudes.split(",")]
+    amplitudes = _numbers(args.amplitudes, "--amplitudes", float)
     result = stability_sweep(
         args.mode,
         amplitudes,
@@ -336,7 +351,7 @@ def cmd_check_bounds(args):
 
 def cmd_strong_deviation(args):
     run = Run(args, "strong-deviation")
-    amplitudes = [float(a) for a in args.amplitudes.split(",")] if args.amplitudes else []
+    amplitudes = _numbers(args.amplitudes, "--amplitudes", float) if args.amplitudes else []
     rows = []
     if amplitudes:
         for eps in amplitudes:
@@ -433,7 +448,7 @@ def convergence_study(domain, identity_id, h_list, dof_cap=None):
 def cmd_convergence(args):
     run = Run(args, "convergence")
     domain = _load_domain(args)
-    h_list = [float(h) for h in args.h_list.split(",")]
+    h_list = _numbers(args.h_list, "--h-list", float)
     rows, order, flag = convergence_study(
         domain, args.identity, h_list, dof_cap=args.dof_cap
     )

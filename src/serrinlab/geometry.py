@@ -160,7 +160,7 @@ class EllipseDomain(RadialDomain):
 
     def __init__(self, a, b, center=(0.0, 0.0)):
         _require_finite("ellipse semi-axes", (a, b))
-        _require_finite("center", center)
+        _require_center(center)
         if a <= 0 or b <= 0:
             raise NonPositiveRadius("ellipse semi-axes must be positive")
         self.a = float(a)
@@ -205,13 +205,20 @@ def _require_finite(name, values):
         raise InvalidSpec(f"{name} must be finite numbers, got {values!r}")
 
 
+def _require_center(center):
+    _require_finite("center", center)
+    if np.shape(center) != (2,):
+        raise InvalidSpec(f"center must be a point (x, y), got {center!r}")
+
+
 def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
     """Validate and construct a StarDomain.
 
     Raises
     ------
     InvalidSpec
-        if rho0, a mode entry or the center is not finite.
+        if rho0, a mode entry or the center is not finite, or a mode row
+        or the center has the wrong length.
     NonPositiveRadius
         if min_theta r(theta) <= 0 on a dense sample.
     NotStarShaped
@@ -219,8 +226,12 @@ def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
         star-shapedness margin <gamma - center, nu> >= 0.1 rho0 fails.
     """
     _require_finite("rho0", rho0)
+    if np.ndim(rho0):
+        raise InvalidSpec(f"rho0 must be a number, got {rho0!r}")
     _require_finite("fourier modes", fourier_modes)
-    _require_finite("center", center)
+    if np.size(fourier_modes) and np.shape(fourier_modes)[1:] != (3,):
+        raise InvalidSpec(f"fourier modes must be rows [k, a, b], got {fourier_modes!r}")
+    _require_center(center)
     if rho0 <= 0:
         raise NonPositiveRadius(f"rho0 must be positive, got {rho0}")
     domain = StarDomain(rho0, fourier_modes, center)
@@ -247,13 +258,18 @@ def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
 
 def domain_from_spec(spec) -> RadialDomain:
     """Rebuild a domain from its JSON spec dict."""
+    if not isinstance(spec, dict):
+        raise InvalidSpec(f"domain spec must be a JSON object, got {spec!r}")
     center = spec.get("center", (0.0, 0.0))
     if "ellipse" in spec:
-        a, b = spec["ellipse"]
-        return EllipseDomain(a, b, center)
+        axes = spec["ellipse"]
+        _require_finite("ellipse semi-axes", axes)
+        if np.shape(axes) != (2,):
+            raise InvalidSpec(f"'ellipse' needs two semi-axes, got {axes!r}")
+        return EllipseDomain(*axes, center)
     if "rho0" not in spec:
         raise InvalidSpec("domain spec needs 'rho0' or 'ellipse'")
-    return build_domain(spec["rho0"], [tuple(m) for m in spec.get("modes", [])], center)
+    return build_domain(spec["rho0"], spec.get("modes", []), center)
 
 
 def boundary_frame(domain, theta) -> BoundaryFrame:

@@ -7,8 +7,10 @@ curve; interior elements are straight.  The outermost rings are angularly
 refined so that boundary quantities sit well below interior FEM error.
 
 Solvers cover the three boundary value problems used downstream:
-constant-source Dirichlet, constant-flux Neumann (zero-mean gauge via a
-Lagrange multiplier), and harmonic extension of boundary data.
+constant-source Dirichlet, constant-flux Neumann, and harmonic extension of
+boundary data.  Each factors K restricted to a node set: the interior nodes,
+or for Neumann every node but the grounded centre, then a shift to zero
+mean; that one factor per mesh is cached and shared with the eigen-solvers.
 """
 
 import math
@@ -250,7 +252,7 @@ def _merge_strip(inner_idx, outer_idx):
     return tris
 
 
-def generate_mesh(domain, h_target, dof_cap=None, boundary_refine=BOUNDARY_REFINE):
+def generate_mesh(domain, h_target, dof_cap=None):
     """Triangulate a radial domain with target edge length h_target.
 
     Raises MeshTooFine when the estimated quadratic dof count exceeds the
@@ -266,8 +268,15 @@ def generate_mesh(domain, h_target, dof_cap=None, boundary_refine=BOUNDARY_REFIN
     speed_max = float(
         np.sqrt(domain.radius(probe) ** 2 + domain.radius_d1(probe) ** 2).max()
     )
+    # lower bound checked before the O(r_max/h) schedule: the outer ring has
+    # at least dof_min / 2 vertices, each with a boundary midnode
+    dof_min = 2 * (2.0 * math.pi * speed_max * BOUNDARY_REFINE * _HEADROOM / h_target)
+    if dof_min > dof_cap:
+        raise MeshTooFine(
+            f"dof count at least {dof_min:.3g} exceeds cap {dof_cap} (h_target={h_target})"
+        )
     t_ring, n_ring = _ring_schedule(
-        r_max, speed_max, h_target / _HEADROOM, boundary_refine
+        r_max, speed_max, h_target / _HEADROOM, BOUNDARY_REFINE
     )
 
     n_vert = 1 + sum(n_ring)
@@ -389,13 +398,6 @@ def lumped_mass(mesh):
     return np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
 
 
-def bordered_stiffness(mesh):
-    """The zero-mean bordered system [[K, m], [m^T, 0]] in CSC form."""
-    K = assemble_stiffness(mesh)
-    m = lumped_mass(mesh)
-    return sp.bmat([[K, m[:, None]], [m[None, :], None]], format="csc")
-
-
 def _scatter(mesh, local):
     T = mesh.triangles
     rows = np.repeat(T, 6, axis=1).ravel()
@@ -437,7 +439,6 @@ class FemField:
         self.mesh = mesh
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.kind = kind
-        self.degree = 2
         self.analytic_gradient = None   # callable points (P,2) -> (P,2)
         self.analytic_hessian = None    # callable points (P,2) -> (P,3) xx,yy,xy
         self._cache = {}
@@ -448,16 +449,14 @@ class FemField:
         return self.coeffs[self.mesh.boundary_idx]
 
     def shifted(self, c):
-        out = FemField(self.mesh, self.coeffs + c, self.kind)
-        return out
+        return FemField(self.mesh, self.coeffs + c, self.kind)
 
     def gradient_at_quad(self, degree=VOLUME_DEGREE):
         ops = self.mesh.element_ops(degree)
         return np.einsum("tqnk,tn->tqk", ops["grad"], self.coeffs[self.mesh.triangles])
 
     def values_at_quad(self, degree=VOLUME_DEGREE):
-        ops = self.mesh.element_ops(degree)
-        return np.einsum("qn,tn->tq", ops["N"], self.coeffs[self.mesh.triangles])
+        return nodal_to_quad(self.mesh, self.coeffs, degree)
 
     @property
     def recovered(self):
@@ -513,7 +512,6 @@ def _recover(field):
     psamp = np.einsum("qn,tnk->tqk", p2_shape(_SPR_REF), coords)
 
     node_elems = mesh.node_elements
-    vertex_elems = node_elems  # same structure; vertices occupy slots 0..2
     elem_hess = None
     grad = np.zeros((mesh.n_nodes, 2))
     hess = np.zeros((mesh.n_nodes, 3))
@@ -526,7 +524,7 @@ def _recover(field):
             seen = set(elems)
             for e in list(elems):
                 for v in tris[e, :3]:
-                    seen.update(vertex_elems[v])
+                    seen.update(node_elems[v])
             elems = sorted(seen)
         if len(elems) < 3:
             if elem_hess is None:
@@ -552,44 +550,68 @@ def _recover(field):
 
 # -- solvers ----------------------------------------------------------------
 
-def _residual_scale(A, x, b):
-    """Denominator of the normwise backward error |Ax-b| / (|A||x| + |b|)."""
-    norm_a = float(abs(A).sum(axis=1).max())  # infinity norm
-    return norm_a * np.linalg.norm(x) + np.linalg.norm(b)
-
-
 def _check_residual(A, x, b, label):
-    rel = np.linalg.norm(A @ x - b) / _residual_scale(A, x, b)
+    """Normwise backward error |Ax-b| / (|A|_inf |x| + |b|) must be <= 1e-12."""
+    norm_a = float(abs(A).sum(axis=1).max())
+    rel = np.linalg.norm(A @ x - b) / (norm_a * np.linalg.norm(x) + np.linalg.norm(b))
     if rel > 1e-12:
         raise SolverFailure(f"{label}: relative residual {rel:.3e} > 1e-12")
     return rel
 
 
-def _direct_solve(A_csc, b):
-    """Sparse LU with up to two rounds of iterative refinement."""
-    lu = spla.splu(A_csc)
-    x = lu.solve(b)
+def _factor(mesh, keep):
+    """K restricted to the nodes `keep` (mask or slice) and its sparse LU."""
+    A = assemble_stiffness(mesh)[keep][:, keep].tocsc()
+    # symmetric minimum degree: less than half the fill of the default COLAMD
+    return A, spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+
+
+def _refined_solve(A, lu, b):
+    """lu.solve with up to two rounds of iterative refinement."""
     den = np.linalg.norm(b)
     if den == 0:
         return np.zeros_like(b)
+    x = lu.solve(b)
     for _ in range(2):
-        r = b - A_csc @ x
+        r = b - A @ x
         if np.linalg.norm(r) <= 1e-13 * den:
             break
         x = x + lu.solve(r)
     return x
 
 
+def _solve_interior(mesh, u, b, kind):
+    """Fill u on the interior nodes so that (K u)_i = b_i there; the boundary
+    values of u stay.  Each Dirichlet problem is solved once, so no cache."""
+    free = ~mesh.boundary_mask
+    A, lu = _factor(mesh, free)
+    rhs = (b - assemble_stiffness(mesh) @ u)[free]
+    u[free] = _refined_solve(A, lu, rhs)
+    if np.linalg.norm(rhs) > 0:
+        _check_residual(A, u[free], rhs, kind.replace("_", "-"))
+    return FemField(mesh, u, kind=kind)
+
+
+def solve_zero_mean(mesh, b):
+    """Solve K u = b, m^T u = 0 (m the lumped mass) for compatible b, sum(b) = 0.
+
+    K is singular with the constants as kernel: the centre (node 0) is
+    grounded and u shifted to zero mean, which leaves K u unchanged.  The
+    factor is cached, shared by the Neumann solve and both eigenproblems.
+    """
+    if "zero_mean_lu" not in mesh._cache:
+        m = lumped_mass(mesh)
+        mesh._cache["zero_mean_lu"] = (*_factor(mesh, slice(1, None)), m / m.sum())
+    A, lu, weights = mesh._cache["zero_mean_lu"]
+    u = np.zeros(mesh.n_nodes)
+    u[1:] = _refined_solve(A, lu, b[1:])
+    return u - weights @ u
+
+
 def solve_torsion_dirichlet(mesh) -> FemField:
     """Solve Laplacian(u) = 2 with u = 0 on the boundary."""
-    K = assemble_stiffness(mesh)
     b = -SOURCE * lumped_mass(mesh)
-    free = ~mesh.boundary_mask
-    Kff = K[free][:, free].tocsc()
-    u = np.zeros(mesh.n_nodes)
-    u[free] = _direct_solve(Kff, b[free])
-    _check_residual(Kff, u[free], b[free], "torsion-dirichlet")
-    return FemField(mesh, u, kind="torsion_dirichlet")
+    return _solve_interior(mesh, np.zeros(mesh.n_nodes), b, "torsion_dirichlet")
 
 
 def solve_torsion_neumann(mesh) -> FemField:
@@ -597,20 +619,16 @@ def solve_torsion_neumann(mesh) -> FemField:
 
     R_disc = 2 |Omega_h| / |Gamma_h| uses the discrete measures produced by
     the same quadratures as the load vectors, so the singular system is
-    compatible to roundoff.  The zero-mean gauge is enforced through a
-    Lagrange multiplier, keeping the system symmetric.
+    compatible to roundoff; the residual is checked against the full K.
     """
-    K = assemble_stiffness(mesh)
     m = lumped_mass(mesh)
     g = boundary_load_vector(mesh)
     area_h = m.sum()
     perim_h = g.sum()
     r_disc = SOURCE * area_h / perim_h
     b = r_disc * g - SOURCE * m
-    rhs = np.concatenate([b, [0.0]])
-    sol = _direct_solve(bordered_stiffness(mesh), rhs)
-    u = sol[:-1]
-    _check_residual(K, u, b, "torsion-neumann")
+    u = solve_zero_mean(mesh, b)
+    _check_residual(assemble_stiffness(mesh), u, b, "torsion-neumann")
     field = FemField(mesh, u, kind="torsion_neumann")
     field.R_disc = r_disc
     field.area_h = area_h
@@ -630,16 +648,9 @@ def solve_harmonic_dirichlet(mesh, g) -> FemField:
     vals = np.asarray(vals, dtype=float)
     if vals.shape != mesh.boundary_idx.shape:
         raise ValueError("boundary data does not cover all boundary nodes")
-    K = assemble_stiffness(mesh)
     u = np.zeros(mesh.n_nodes)
     u[mesh.boundary_idx] = vals
-    free = ~mesh.boundary_mask
-    b = -(K @ u)[free]
-    Kff = K[free][:, free].tocsc()
-    u[free] = _direct_solve(Kff, b)
-    if np.linalg.norm(b) > 0:
-        _check_residual(Kff, u[free], b, "harmonic-dirichlet")
-    return FemField(mesh, u, kind="harmonic_dirichlet")
+    return _solve_interior(mesh, u, np.zeros(mesh.n_nodes), "harmonic_dirichlet")
 
 
 # -- integration -------------------------------------------------------------
@@ -650,19 +661,16 @@ def volume_integral(mesh, integrand, degree=VOLUME_DEGREE) -> float:
     integrand: callable(points (P,2)) -> (P,), a nodal array (n_nodes,),
     or a FemField.
     """
-    ops = mesh.element_ops(degree)
     if isinstance(integrand, FemField):
-        vals = integrand.values_at_quad(degree)
-    elif callable(integrand):
-        T, Q, _ = ops["qp"].shape
-        vals = np.asarray(integrand(ops["qp"].reshape(-1, 2))).reshape(T, Q)
+        integrand = integrand.coeffs
+    if callable(integrand):
+        qp = quad_points(mesh, degree)
+        vals = np.asarray(integrand(qp.reshape(-1, 2))).reshape(qp.shape[:2])
     else:
-        arr = np.asarray(integrand, dtype=float)
-        if arr.shape == (mesh.n_nodes,):
-            vals = np.einsum("qn,tn->tq", ops["N"], arr[mesh.triangles])
-        else:
-            vals = arr  # already (T, Q)
-    return float(0.5 * np.einsum("q,tq,tq->", ops["w"], ops["detJ"], vals))
+        vals = np.asarray(integrand, dtype=float)
+        if vals.shape == (mesh.n_nodes,):
+            vals = nodal_to_quad(mesh, vals, degree)  # else already (T, Q)
+    return quad_integral(mesh, vals, degree)
 
 
 def nodal_to_quad(mesh, nodal, degree=VOLUME_DEGREE):

@@ -4,14 +4,14 @@ Both eigenproblems share the stiffness matrix; the Neumann problem pairs it
 with the consistent volume mass matrix, the Steklov problem with a diagonal
 boundary mass carrying the spectral arclength weights.  The smallest
 nonzero eigenvalue comes from inverse iteration with the constant mode
-deflated in the defining inner product; each iteration reuses one sparse
-factorization of the mean-pinned stiffness system.
+deflated in the defining inner product, so every right-hand side is
+compatible and each iteration calls the zero-mean solve of ``meshfem``,
+whose one factor per mesh is shared with the Neumann torsion solve.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .boundary import BoundaryFunction
 from .errors import ConvergenceFailure
@@ -20,9 +20,9 @@ from .meshfem import (
     FemField,
     assemble_mass,
     assemble_stiffness,
-    bordered_stiffness,
     nodal_to_quad,
     quad_integral,
+    solve_zero_mean,
     volume_integral,
 )
 
@@ -39,22 +39,8 @@ class EigenResult:
     iterations: int
 
 
-def _pinned_solver(mesh):
-    """Factorized solve of K y = rhs subject to zero volume mean."""
-    if "eig_solver" not in mesh._cache:
-        lu = spla.splu(bordered_stiffness(mesh))
-        n = mesh.n_nodes
-
-        def solve(rhs):
-            return lu.solve(np.concatenate([rhs, [0.0]]))[:n]
-
-        mesh._cache["eig_solver"] = solve
-    return mesh._cache["eig_solver"]
-
-
 def _inverse_iteration(mesh, apply_b, which):
     K = assemble_stiffness(mesh)
-    solve = _pinned_solver(mesh)
     ones = np.ones(mesh.n_nodes)
     b_ones = apply_b(ones)
     ones_sq = float(ones @ b_ones)
@@ -66,8 +52,7 @@ def _inverse_iteration(mesh, apply_b, which):
     x /= np.sqrt(float(x @ apply_b(x)))
     value = None
     for it in range(1, MAX_ITERATIONS + 1):
-        y = solve(apply_b(x))
-        y = deflate(y)
+        y = deflate(solve_zero_mean(mesh, apply_b(x)))
         by = apply_b(y)
         norm = np.sqrt(float(y @ by))
         if norm == 0.0:

@@ -126,6 +126,18 @@ def test_missing_domain_file_is_operational_error(tmp_path):
         ({"modes": []}, ["solve", "--h-target", "0.1"]),
         ({"rho0": "one"}, ["solve", "--h-target", "0.1"]),
         (None, ["sweep", "--amplitudes", "0.05,nan", "--h-target", "0.1"]),
+        ({"rho0": 1.0, "modes": [[2, 0.05]]}, ["solve", "--h-target", "0.1"]),
+        ({"ellipse": [2]}, ["solve", "--h-target", "0.1"]),
+        ({"rho0": 1.0, "modes": []}, ["solve", "--h-target", "1e-9"]),
+        (None, ["sweep", "--amplitudes", "abc"]),
+        (None, ["strong-deviation", "--amplitudes", "abc"]),
+        ({"rho0": 1.0, "modes": []},
+         ["convergence", "--identity", "general_1_9", "--h-list", "0.1,x"]),
+        (None, ["pointwise-identity", "--N", "two"]),
+        ({"rho0": 1.0, "modes": []},
+         ["verify-identity", "--identity", "general_1_9", "--z", "0.1,0.2,0.3"]),
+        ({"rho0": 1.0, "modes": []},
+         ["verify-identity", "--identity", "general_1_9", "--z", "0.1"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):

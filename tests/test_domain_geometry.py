@@ -14,6 +14,7 @@ from serrinlab.geometry import (
     boundary_frame,
     build_domain,
     distance_to_boundary,
+    domain_from_spec,
     distances_to_boundary,
     measures,
     radii_about,
@@ -72,6 +73,26 @@ def test_nonpositive_rho0_rejected():
 def test_non_finite_spec_rejected(make):
     # comparisons with NaN are all false, so without this check the domain
     # is accepted and meshing it never terminates; only the constructors run
+    with pytest.raises(InvalidSpec):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_domain(1.0, [(2, 0.05)]),
+        lambda: build_domain(1.0, [2, 0.05, 0.0]),
+        lambda: build_domain([1.0], []),
+        lambda: build_domain(1.0, [], center=(0.0,)),
+        lambda: domain_from_spec({"rho0": 1.0, "modes": [[2, 0.05]]}),
+        lambda: domain_from_spec({"ellipse": [2.0]}),
+        lambda: domain_from_spec({"ellipse": 2.0}),
+        lambda: domain_from_spec([1.0]),
+    ],
+)
+def test_wrong_shape_spec_rejected(make):
+    # a short mode row or a single semi-axis used to fail in tuple unpacking,
+    # and a one-entry center broadcast silently
     with pytest.raises(InvalidSpec):
         make()
 

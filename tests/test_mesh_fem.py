@@ -1,11 +1,17 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import fit_order, h1_seminorm_error, l2_error
 from serrinlab.errors import MeshTooFine
 from serrinlab.geometry import build_domain
 from serrinlab.meshfem import (
     FemField,
+    assemble_mass,
+    assemble_stiffness,
     boundary_load_vector,
     field_from_dict,
     field_to_dict,
@@ -36,6 +42,15 @@ def test_mesh_quality_other_domains(ellipse, pdisk):
 def test_mesh_too_fine(disk):
     with pytest.raises(MeshTooFine):
         generate_mesh(disk, 1e-5)
+
+
+def test_mesh_too_fine_fails_before_schedule(disk):
+    # the ring schedule takes O(1/h) steps; a closed-form lower bound on
+    # the dof count rejects h = 1e-9 before it runs
+    start = time.process_time()
+    with pytest.raises(MeshTooFine):
+        generate_mesh(disk, 1e-9)
+    assert time.process_time() - start < 1.0
 
 
 def test_boundary_nodes_on_curve(pdisk):
@@ -97,6 +112,19 @@ def test_neumann_discrete_compatibility(disk_neumann, pdisk_neumann):
 def test_neumann_zero_mean_gauge(pdisk_neumann):
     mean = volume_integral(pdisk_neumann.mesh, pdisk_neumann)
     assert abs(mean) < 1e-10
+
+
+def test_neumann_matches_bordered_system(pdisk):
+    # reference: the zero-mean gauge as a Lagrange multiplier,
+    # [[K, m], [m^T, 0]] [u; lam] = [b; 0]
+    mesh = generate_mesh(pdisk, 0.2)
+    f = solve_torsion_neumann(mesh)
+    K = assemble_stiffness(mesh)
+    m = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
+    b = f.R_disc * boundary_load_vector(mesh) - 2.0 * m
+    A = sp.bmat([[K, m[:, None]], [m[None, :], None]], format="csc")
+    ref = spla.spsolve(A, np.concatenate([b, [0.0]]))[:-1]
+    assert np.abs(f.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_neumann_oscillation_scales_linearly():

@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.sparse.linalg as spla
 from scipy.special import jnp_zeros
 
 from serrinlab.geometry import build_domain
@@ -9,6 +10,7 @@ from serrinlab.meshfem import (
 )
 from serrinlab.spectral import (
     check_l2_oscillation_bound,
+    eigenvalues,
     neumann_eigenvalue_2,
     steklov_eigenvalue_2,
 )
@@ -32,6 +34,22 @@ def test_steklov_eigenvalue_disk(disk):
     res = steklov_eigenvalue_2(mesh)
     assert abs(res.value - 1.0) <= 1e-3
     assert res.rayleigh_residual <= 1e-8
+
+
+def test_neumann_solve_and_eigenproblems_share_one_factor(pdisk, monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    mesh = generate_mesh(pdisk, 0.2)
+    solve_torsion_neumann(mesh)
+    nu, sig = eigenvalues(mesh)
+    assert len(calls) == 1
+    assert nu.rayleigh_residual <= 1e-8 and sig.rayleigh_residual <= 1e-8
 
 
 def test_eigenvalue_scaling_laws(disk):
