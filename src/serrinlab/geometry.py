@@ -5,6 +5,11 @@ Fourier series (StarDomain) or the exact polar form of an ellipse
 (EllipseDomain, used as an independent oracle).  All geometric quantities
 (normal, curvature, measures, distances) come from exact differentiation of
 r(theta) plus adaptive quadrature.
+
+Distances to the boundary start at the nearest boundary sample (k-d tree)
+or at a dense sample's local extrema, and one vectorized Newton routine on
+|gamma(theta) - z|^2 polishes them; the diameter comes from the sample's
+convex hull.
 """
 
 from dataclasses import dataclass
@@ -115,9 +120,8 @@ class StarDomain(RadialDomain):
         self.rho0 = float(rho0)
         self.fourier = [(int(k), float(a), float(b)) for k, a, b in fourier]
         self.center = np.asarray(center, dtype=float)
-        self._k = np.array([k for k, _, _ in self.fourier], dtype=float)
-        self._a = np.array([a for _, a, _ in self.fourier], dtype=float)
-        self._b = np.array([b for _, _, b in self.fourier], dtype=float)
+        table = np.array(self.fourier, dtype=float).reshape(-1, 3)
+        self._k, self._a, self._b = table.T.copy()
 
     def _trig(self, theta, order):
         theta = np.asarray(theta, dtype=float)
@@ -217,8 +221,8 @@ def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
     Raises
     ------
     InvalidSpec
-        if rho0, a mode entry or the center is not finite, or a mode row
-        or the center has the wrong length.
+        if rho0, a mode entry or the center is not finite, a mode row or
+        the center has the wrong length, or a mode number is not an integer.
     NonPositiveRadius
         if min_theta r(theta) <= 0 on a dense sample.
     NotStarShaped
@@ -229,8 +233,11 @@ def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
     if np.ndim(rho0):
         raise InvalidSpec(f"rho0 must be a number, got {rho0!r}")
     _require_finite("fourier modes", fourier_modes)
-    if np.size(fourier_modes) and np.shape(fourier_modes)[1:] != (3,):
-        raise InvalidSpec(f"fourier modes must be rows [k, a, b], got {fourier_modes!r}")
+    modes = np.asarray(fourier_modes, dtype=float)
+    if modes.size and (modes.shape[1:] != (3,) or np.any(modes[:, 0] % 1)):
+        raise InvalidSpec(
+            f"fourier modes must be rows [k, a, b] with integer k, got {fourier_modes!r}"
+        )
     _require_center(center)
     if rho0 <= 0:
         raise NonPositiveRadius(f"rho0 must be positive, got {rho0}")
@@ -285,6 +292,8 @@ def boundary_frame(domain, theta) -> BoundaryFrame:
 
 
 def _compute_measures(domain) -> DomainMeasures:
+    from scipy.spatial import ConvexHull, cKDTree, distance
+
     area = periodic_integral(lambda t: 0.5 * domain.radius(t) ** 2)
     perimeter = periodic_integral(
         lambda t: np.sqrt(domain.radius(t) ** 2 + domain.radius_d1(t) ** 2)
@@ -293,47 +302,35 @@ def _compute_measures(domain) -> DomainMeasures:
 
     theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
     pts = domain.boundary_point(theta)
-    d_Omega = 0.0
-    for i0 in range(0, theta.size, 256):
-        block = pts[i0 : i0 + 256]
-        diff = block[:, None, :] - pts[None, :, :]
-        d_Omega = max(d_Omega, float(np.sqrt((diff**2).sum(-1)).max()))
+    # the farthest pair of samples are both vertices of their convex hull
+    d_Omega = float(distance.pdist(pts[ConvexHull(pts).vertices]).max())
 
     _, nu, kappa, _ = domain.frame_arrays(theta)
-    r_i = _sphere_radius(domain, pts, nu, kappa, d_Omega, interior=True)
-    r_e = _sphere_radius(domain, pts, nu, kappa, d_Omega, interior=False)
+    tree = cKDTree(pts)
+    r_i = _sphere_radius(tree, pts, nu, kappa, d_Omega, interior=True)
+    r_e = _sphere_radius(tree, pts, nu, kappa, d_Omega, interior=False)
     return DomainMeasures(
         area=area, perimeter=perimeter, R=R, d_Omega=d_Omega, r_i=r_i, r_e=r_e
     )
 
 
-def _sphere_radius(domain, pts, nu, kappa, d_Omega, interior):
+def _sphere_radius(tree, pts, nu, kappa, d_Omega, interior):
     """Uniform interior/exterior sphere radius estimate.
 
     Curvature-extreme bound cross-checked by sampled tangent-disk
-    containment tests (256 tangency points, bisection on the radius).
+    containment tests (256 tangency points, bisection on the radius); a
+    disk fits when no boundary sample in ``tree`` lies inside it.
     These radii are diagnostics; the identity terms never consume them.
     """
-    if interior:
-        kmax = kappa.max()
-        bound = 1.0 / kmax if kmax > 0 else np.inf
-    else:
-        kmin = kappa.min()
-        bound = 1.0 / (-kmin) if kmin < 0 else np.inf
+    k = kappa.max() if interior else -kappa.min()
+    bound = 1.0 / k if k > 0 else np.inf
     cap = min(bound, 10.0 * d_Omega)
-    probe_idx = np.arange(0, pts.shape[0], pts.shape[0] // 256)
-    p = pts[probe_idx]
-    n = nu[probe_idx]
+    p, n = pts[:: len(pts) // 256], nu[:: len(pts) // 256]
     sign = -1.0 if interior else 1.0
 
     def fits(rho):
-        centers = p + sign * rho * n
-        ok = np.ones(len(centers), dtype=bool)
-        for i0 in range(0, len(centers), 64):
-            block = centers[i0 : i0 + 64]
-            d = np.sqrt(((block[:, None, :] - pts[None, :, :]) ** 2).sum(-1)).min(1)
-            ok[i0 : i0 + 64] = d >= rho * (1.0 - 1e-9) - 1e-12
-        return bool(ok.all())
+        d, _ = tree.query(p + sign * rho * n)
+        return bool((d >= rho * (1.0 - 1e-9) - 1e-12).all())
 
     if fits(cap):
         sampled = cap
@@ -341,10 +338,7 @@ def _sphere_radius(domain, pts, nu, kappa, d_Omega, interior):
         lo, hi = 0.0, cap
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            if fits(mid):
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
         sampled = lo
     out = min(bound, sampled)
     return np.inf if (not interior and out >= 10.0 * d_Omega * (1 - 1e-9)) else out
@@ -355,101 +349,78 @@ def measures(domain) -> DomainMeasures:
     return domain.measures
 
 
-def _refine_extremum(domain, z, theta0, maximize, steps=40):
-    """Newton refinement of an extremum of f(theta) = |gamma(theta) - z|^2."""
-    theta = float(theta0)
+def _newton_distance(domain, z, theta, maximize):
+    """|gamma - z| at the extremum of f(theta) = |gamma(theta) - z|^2 that
+    Newton's method reaches from each start angle (z: one point or one per
+    angle; maximize: a bool or a mask).  Steps are clipped to 0.05; an angle
+    stops after a step below 1e-15 or where f'' has the wrong sign; 40 at most.
+    """
+    theta = np.array(theta, dtype=float)
+    z = np.broadcast_to(z, theta.shape + (2,))
+    maximize = np.broadcast_to(maximize, theta.shape)
+    active = np.arange(theta.size)
+
+    def dot(a, b):   # matmul rounds like the dot product of two points
+        return np.matmul(a[:, None], b[..., None])[:, 0, 0]
+
+    for _ in range(40):
+        # angles as a column: r(theta) then rounds as for a single angle
+        t = theta[active, None]
+        r, r1, r2 = domain.radius(t), domain.radius_d1(t), domain.radius_d2(t)
+        c, s = np.cos(t), np.sin(t)
+        e, ep = np.hstack([c, s]), np.hstack([-s, c])
+        g = domain.center + r * e - z[active]
+        g1 = r1 * e + r * ep
+        g2 = (r2 - r) * e + 2.0 * r1 * ep
+        f1 = 2.0 * dot(g, g1)
+        f2 = 2.0 * (dot(g1, g1) + dot(g, g2))
+        ok = np.where(maximize[active], f2 < 0, f2 > 0)
+        step = np.clip(np.where(ok, f1 / np.where(ok, f2, 1.0), 0.0), -0.05, 0.05)
+        theta[active] -= step
+        active = active[np.abs(step) >= 1e-15]
+        if not active.size:
+            break
+    return np.sqrt(((domain.boundary_point(theta[:, None])[:, 0] - z) ** 2).sum(-1))
+
+
+def _boundary_extremes(domain, z):
+    """(min, max) of |gamma(theta) - z|: the three best local extrema of a
+    4096-point sample, refined together by Newton."""
     z = np.asarray(z, dtype=float)
-    for _ in range(steps):
-        r = domain.radius(theta)
-        r1 = domain.radius_d1(theta)
-        r2 = domain.radius_d2(theta)
-        c, s = np.cos(theta), np.sin(theta)
-        e = np.array([c, s])
-        eperp = np.array([-s, c])
-        g = domain.center + r * e - z
-        g1 = r1 * e + r * eperp
-        g2 = (r2 - r) * e + 2.0 * r1 * eperp
-        f1 = 2.0 * float(g @ g1)
-        f2 = 2.0 * float(g1 @ g1 + g @ g2)
-        if f2 == 0.0:
-            break
-        step = f1 / f2
-        if maximize and f2 > 0:
-            break  # wrong basin; keep sampled value
-        if (not maximize) and f2 < 0:
-            break
-        step = np.clip(step, -0.05, 0.05)
-        theta -= step
-        if abs(step) < 1e-15:
-            break
-    return theta
-
-
-def _boundary_extremes(domain, z, n_sample=4096):
-    theta = np.linspace(0.0, 2.0 * np.pi, n_sample, endpoint=False)
-    d2 = ((domain.boundary_point(theta) - np.asarray(z, dtype=float)) ** 2).sum(-1)
-
-    def refined(idx, maximize):
-        best = None
-        order = np.argsort(d2[idx])[::-1] if maximize else np.argsort(d2[idx])
-        for j in order[:3]:
-            t = _refine_extremum(domain, z, theta[idx[j]], maximize)
-            val = float(np.sqrt(((domain.boundary_point(t) - z) ** 2).sum()))
-            if best is None or (maximize and val > best) or (not maximize and val < best):
-                best = val
-        return best
-
+    theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    d2 = ((domain.boundary_point(theta) - z) ** 2).sum(-1)
     # candidate local extrema on the dense sample (periodic neighbors)
-    left = np.roll(d2, 1)
-    right = np.roll(d2, -1)
+    left, right = np.roll(d2, 1), np.roll(d2, -1)
     mins = np.where((d2 <= left) & (d2 <= right))[0]
     maxs = np.where((d2 >= left) & (d2 >= right))[0]
-    return refined(mins, maximize=False), refined(maxs, maximize=True)
+    mins = mins[np.argsort(d2[mins])[:3]]
+    maxs = maxs[np.argsort(d2[maxs])[::-1][:3]]
+    maximize = np.arange(len(mins) + len(maxs)) >= len(mins)
+    d = _newton_distance(domain, z, theta[np.concatenate([mins, maxs])], maximize)
+    return float(d[~maximize].min()), float(d[maximize].max())
 
 
 def distance_to_boundary(domain, x) -> float:
     """delta_Gamma(x) = dist(x, Gamma) for x in the closure of the domain."""
-    x = np.asarray(x, dtype=float)
-    rel = x - domain.center
+    rel = np.asarray(x, dtype=float) - domain.center
     rad = float(np.sqrt(rel @ rel))
-    theta_x = float(np.arctan2(rel[1], rel[0]))
-    if rad > float(domain.radius(theta_x)) * (1.0 + 1e-12) + 1e-14:
+    if rad > float(domain.radius(np.arctan2(rel[1], rel[0]))) * (1.0 + 1e-12) + 1e-14:
         raise OutsideDomain(f"point {x} lies outside the domain closure")
-    dmin, _ = _boundary_extremes(domain, x, n_sample=1024)
-    return dmin
+    return _boundary_extremes(domain, x)[0]
 
 
-def distances_to_boundary(domain, points, n_sample=1024):
-    """Vectorized delta_Gamma for many interior points (no interiority check)."""
-    theta = np.linspace(0.0, 2.0 * np.pi, n_sample, endpoint=False)
-    bpts = domain.boundary_point(theta)
+def distances_to_boundary(domain, points):
+    """Vectorized delta_Gamma for many interior points (no interiority check).
+
+    The nearest of 1024 boundary samples (k-d tree) seeds a Newton descent.
+    """
+    from scipy.spatial import cKDTree
+
+    theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
     points = np.asarray(points, dtype=float)
-    out = np.empty(len(points))
-    idx = np.empty(len(points), dtype=int)
-    for i0 in range(0, len(points), 512):
-        block = points[i0 : i0 + 512]
-        d = np.sqrt(((block[:, None, :] - bpts[None, :, :]) ** 2).sum(-1))
-        out[i0 : i0 + 512] = d.min(1)
-        idx[i0 : i0 + 512] = d.argmin(1)
-    # vectorized Newton polish from the nearest-sample angle
-    t = theta[idx]
-    for _ in range(6):
-        r = domain.radius(t)
-        r1 = domain.radius_d1(t)
-        r2 = domain.radius_d2(t)
-        c, s = np.cos(t), np.sin(t)
-        e = np.stack([c, s], -1)
-        ep = np.stack([-s, c], -1)
-        g = domain.center + r[:, None] * e - points
-        g1 = r1[:, None] * e + r[:, None] * ep
-        g2 = (r2 - r)[:, None] * e + 2.0 * r1[:, None] * ep
-        f1 = 2.0 * np.einsum("ij,ij->i", g, g1)
-        f2 = 2.0 * (np.einsum("ij,ij->i", g1, g1) + np.einsum("ij,ij->i", g, g2))
-        ok = f2 > 0
-        step = np.where(ok, f1 / np.where(f2 == 0, 1.0, f2), 0.0)
-        t = t - np.clip(step, -0.05, 0.05)
-    d_polish = np.sqrt(((domain.boundary_point(t) - points) ** 2).sum(-1))
-    return np.minimum(out, d_polish)
+    nearest, idx = cKDTree(domain.boundary_point(theta)).query(points)
+    polished = _newton_distance(domain, points, theta[idx], maximize=False)
+    return np.minimum(nearest, polished)
 
 
 def radii_about(domain, z):
@@ -457,11 +428,8 @@ def radii_about(domain, z):
 
     Raises PointNotInterior if z is not strictly inside the domain.
     """
-    z = np.asarray(z, dtype=float)
-    rel = z - domain.center
+    rel = np.asarray(z, dtype=float) - domain.center
     rad = float(np.sqrt(rel @ rel))
-    theta_z = float(np.arctan2(rel[1], rel[0]))
-    if rad >= float(domain.radius(theta_z)) * (1.0 - 1e-12):
+    if rad >= float(domain.radius(np.arctan2(rel[1], rel[0]))) * (1.0 - 1e-12):
         raise PointNotInterior(f"point {z} is not strictly inside the domain")
-    rho_i, rho_e = _boundary_extremes(domain, z)
-    return rho_i, rho_e
+    return _boundary_extremes(domain, z)

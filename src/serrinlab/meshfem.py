@@ -261,7 +261,11 @@ def generate_mesh(domain, h_target, dof_cap=None):
     if not 0.0 < h_target < domain.rho0:
         raise InvalidSpec(f"h_target must lie in (0, rho0), got {h_target}")
     if dof_cap is None:
-        dof_cap = int(os.environ.get("SERRINLAB_DOF_CAP", DEFAULT_DOF_CAP))
+        text = os.environ.get("SERRINLAB_DOF_CAP", DEFAULT_DOF_CAP)
+        try:
+            dof_cap = int(text)
+        except ValueError:
+            raise InvalidSpec(f"SERRINLAB_DOF_CAP is not an integer: {text!r}") from None
 
     probe = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     r_max = float(domain.radius(probe).max())

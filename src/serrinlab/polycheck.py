@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotTorsionPolynomial
+from .errors import InvalidSpec, NotTorsionPolynomial
 
 HALF = Fraction(1, 2)
 
@@ -304,7 +304,7 @@ def random_torsion_polynomial(ndim, degree, seed) -> Polynomial:
     Laplacian is verified to equal the dimension before returning.
     """
     if ndim < 2 or degree < 2:
-        raise ValueError("need ndim >= 2 and degree >= 2")
+        raise InvalidSpec(f"need ndim >= 2 and degree >= 2, got {ndim} and {degree}")
     rng = random.Random(f"torsion|{seed}|{ndim}|{degree}")
     u = quadratic_core(ndim)
     for d in range(1, degree + 1):

@@ -138,6 +138,9 @@ def test_missing_domain_file_is_operational_error(tmp_path):
          ["verify-identity", "--identity", "general_1_9", "--z", "0.1,0.2,0.3"]),
         ({"rho0": 1.0, "modes": []},
          ["verify-identity", "--identity", "general_1_9", "--z", "0.1"]),
+        (None, ["pointwise-identity", "--N", "1"]),
+        (None, ["pointwise-identity", "--degree", "1"]),
+        ({"rho0": 1.0, "modes": [[2.5, 0.05, 0]]}, ["solve", "--h-target", "0.1"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):
@@ -185,3 +188,13 @@ def test_dof_cap_env_var(tmp_path, disk_spec, monkeypatch):
          "--h-target", "0.1"]
     )
     assert code == 1
+
+
+def test_dof_cap_env_var_not_integer(tmp_path, disk_spec, monkeypatch, capsys):
+    monkeypatch.setenv("SERRINLAB_DOF_CAP", "abc")
+    code = main(
+        ["--out", str(tmp_path / "r"), "solve", "--domain", disk_spec,
+         "--h-target", "0.1"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

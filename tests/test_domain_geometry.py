@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from serrinlab.errors import (
@@ -88,11 +90,13 @@ def test_non_finite_spec_rejected(make):
         lambda: domain_from_spec({"ellipse": [2.0]}),
         lambda: domain_from_spec({"ellipse": 2.0}),
         lambda: domain_from_spec([1.0]),
+        lambda: build_domain(1.0, [(2.5, 0.05, 0.0)]),
+        lambda: domain_from_spec({"rho0": 1.0, "modes": [[2.5, 0.05, 0]]}),
     ],
 )
 def test_wrong_shape_spec_rejected(make):
     # a short mode row or a single semi-axis used to fail in tuple unpacking,
-    # and a one-entry center broadcast silently
+    # a one-entry center broadcast silently and a mode number 2.5 became 2
     with pytest.raises(InvalidSpec):
         make()
 
@@ -224,6 +228,56 @@ def test_distances_vectorized_matches_scalar():
     vec = distances_to_boundary(d, pts)
     for p, v in zip(pts, vec):
         assert abs(v - distance_to_boundary(d, p)) < 1e-8
+
+
+def test_distances_ellipse_axis_closed_form():
+    # inside the evolute (|x0| < (a^2 - b^2)/a = 1.5) the nearest boundary
+    # points of (x0, 0) are off the axis: delta = b sqrt(1 - x0^2/(a^2 - b^2))
+    ell = EllipseDomain(2.0, 1.0)
+    x0 = np.linspace(-1.4, 1.4, 57)
+    exact = np.sqrt(1.0 - x0**2 / 3.0)
+    pts = np.stack([x0, np.zeros_like(x0)], axis=1)
+    assert np.abs(distances_to_boundary(ell, pts) - exact).max() < 1e-12
+    for p, delta in zip(pts, exact):
+        assert abs(distance_to_boundary(ell, p) - delta) < 1e-12
+    rho_i, rho_e = radii_about(ell, (0.0, 0.0))
+    assert abs(rho_i - 1.0) < 1e-12 and abs(rho_e - 2.0) < 1e-12
+
+
+_modes = st.lists(
+    st.tuples(
+        st.integers(1, 6),
+        st.floats(-0.05, 0.05, allow_nan=False),
+        st.floats(-0.05, 0.05, allow_nan=False),
+    ),
+    max_size=3,
+)
+_coord = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    rho0=st.floats(0.5, 2.0),
+    modes=_modes,
+    center=st.tuples(_coord, _coord),
+    angle=st.floats(0.0, 2 * np.pi),
+    depth=st.floats(0.0, 0.95),
+)
+def test_distance_kernel_property(rho0, modes, center, angle, depth):
+    # the vector and scalar distances agree, and no dense boundary sample
+    # is closer than either
+    try:
+        dom = build_domain(rho0, modes, center)
+    except (NotStarShaped, NonPositiveRadius):
+        assume(False)
+    e = np.array([np.cos(angle), np.sin(angle)])
+    x = dom.center + depth * float(dom.radius(angle)) * e
+    vec = float(distances_to_boundary(dom, x[None, :])[0])
+    scalar = distance_to_boundary(dom, x)
+    assert abs(vec - scalar) < 1e-10
+    theta = np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)
+    sampled = np.sqrt(((dom.boundary_point(theta) - x) ** 2).sum(-1)).min()
+    assert max(vec, scalar) <= sampled + 1e-14
 
 
 def test_radii_disk():
