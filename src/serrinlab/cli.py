@@ -19,15 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidSpec, SerrinLabError
 from .geometry import domain_from_spec
-from .identities import (
-    eval_classical_identity,
-    eval_general_identity,
-    eval_mother_identity,
-    eval_neumann_identity,
-    paraboloid_field,
-)
 from .meshfem import (
-    field_to_dict,
     generate_mesh,
     solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
@@ -37,8 +29,11 @@ from .boundary import trace
 from .polycheck import identity_case_table
 from .spectral import check_l2_oscillation_bound, eigenvalues
 from .stability import (
+    NOISE_FLOOR,
     argmin_point,
+    convergence_study,
     geometric_bounds_check,
+    identity_reports,
     loglog_fit,
     oscillation_bound_check,
     psi,
@@ -57,23 +52,10 @@ ANCHORS = {
 PASS, CONTRACT_FAIL, ERROR = 0, 2, 1
 
 
-NOISE_FLOOR = 1e-8   # identity terms below this are rigid-case noise
-REL_FLOOR = 1e-6     # relative residuals below this are converged noise
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return str(obj)
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
 def _sanitize(obj):
+    """JSON-ready copy: numpy values become Python values, non-finite floats strings."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -99,8 +81,14 @@ class Run:
     def write_json(self, name, data):
         path = self.out / name
         with open(path, "w") as fh:
-            json.dump(_sanitize(data), fh, indent=2, default=_json_default)
+            json.dump(_sanitize(data), fh, indent=2)
             fh.write("\n")
+        self.artifacts.append(str(path))
+        return path
+
+    def write_npz(self, name, **arrays):
+        path = self.out / name
+        np.savez(path, **arrays)
         self.artifacts.append(str(path))
         return path
 
@@ -151,26 +139,26 @@ def _load_domain(args):
         return domain_from_spec(json.load(fh))
 
 
-def _solve(mesh, problem):
-    if problem == "torsion-dirichlet":
-        return solve_torsion_dirichlet(mesh)
-    if problem == "torsion-neumann":
-        return solve_torsion_neumann(mesh)
-    raise SerrinLabError(f"unknown problem {problem!r}")
-
-
 # -- subcommands ------------------------------------------------------------------
 
 def cmd_solve(args):
     run = Run(args, "solve")
     domain = _load_domain(args)
     mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
-    if args.problem == "harmonic":
-        u0 = solve_torsion_neumann(mesh)
-        field = solve_harmonic_dirichlet(mesh, u0.trace_values())
+    if args.problem == "torsion-dirichlet":
+        field = solve_torsion_dirichlet(mesh)
     else:
-        field = _solve(mesh, args.problem)
-    run.write_json("field.json", field_to_dict(field))
+        field = solve_torsion_neumann(mesh)
+        if args.problem == "harmonic":
+            field = solve_harmonic_dirichlet(mesh, field.trace_values())
+    run.write_npz(
+        "field.npz",
+        nodes=mesh.nodes,
+        triangles=mesh.triangles,
+        boundary_idx=mesh.boundary_idx,
+        boundary_theta=mesh.boundary_theta,
+        coeffs=field.coeffs,
+    )
     tr = trace(field)
     report = {
         "problem": args.problem,
@@ -182,6 +170,7 @@ def cmd_solve(args):
     }
     if hasattr(field, "R_disc"):
         report["R_disc"] = field.R_disc
+    report["domain"] = domain.spec_dict()
     run.write_json("solve_report.json", report)
     return run.finish(PASS)
 
@@ -195,7 +184,7 @@ def cmd_verify_identity(args):
             raise InvalidSpec(f"--z needs 'auto' or two numbers x,y, got {args.z!r}")
     domain = _load_domain(args)
     mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
-    reports = _identity_reports(mesh, args.identity, z)
+    reports = identity_reports(mesh, args.identity, z)
     status = PASS
     for rep in reports:
         data = rep.to_dict()
@@ -205,28 +194,6 @@ def cmd_verify_identity(args):
         if rep.rel_residual > args.tol and not rigid:
             status = CONTRACT_FAIL
     return run.finish(status)
-
-
-def _identity_reports(mesh, identity, z):
-    """Reports of one identity; z None means the automatic point."""
-    if identity in ("neumann_1_11", "general_1_9"):
-        u = solve_torsion_neumann(mesh)
-    else:
-        u = solve_torsion_dirichlet(mesh)
-    if z is None:
-        if u.kind == "torsion_neumann":
-            z = argmin_point(u).z
-        else:
-            z = np.asarray(mesh.domain.center, dtype=float)
-    if identity == "classical_1_2":
-        return [eval_classical_identity(u, z)]
-    if identity == "neumann_1_11":
-        return [eval_neumann_identity(u, z)]
-    if identity == "general_1_9":
-        return [eval_general_identity(u, paraboloid_field(mesh, z))]
-    if identity in ("mother_3_2", "mother_3_3"):
-        return list(eval_mother_identity(u, z))
-    raise SerrinLabError(f"unknown identity {identity!r}")
 
 
 def cmd_pointwise_identity(args):
@@ -351,23 +318,18 @@ def cmd_check_bounds(args):
 
 def cmd_strong_deviation(args):
     run = Run(args, "strong-deviation")
-    amplitudes = _numbers(args.amplitudes, "--amplitudes", float) if args.amplitudes else []
-    rows = []
-    if amplitudes:
-        for eps in amplitudes:
-            spec = {"rho0": 1.0, "modes": [[args.mode, eps, 0.0]]}
-            mesh = generate_mesh(
-                domain_from_spec(spec), args.h_target, dof_cap=args.dof_cap
-            )
-            rep = strong_deviation_pipeline(solve_torsion_neumann(mesh),
-                                            alpha=args.alpha)
-            rows.append((eps, rep))
+    if args.amplitudes:
+        cases = [
+            (eps, domain_from_spec({"rho0": 1.0, "modes": [[args.mode, eps, 0.0]]}))
+            for eps in _numbers(args.amplitudes, "--amplitudes", float)
+        ]
     else:
-        domain = _load_domain(args)
+        cases = [(0.0, _load_domain(args))]
+    rows = []
+    for eps, domain in cases:
         mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
-        rep = strong_deviation_pipeline(solve_torsion_neumann(mesh),
-                                        alpha=args.alpha)
-        rows.append((0.0, rep))
+        rep = strong_deviation_pipeline(solve_torsion_neumann(mesh), alpha=args.alpha)
+        rows.append((eps, rep))
     header = [
         "epsilon", "flux_deviation_l2", "flux_deviation_c0alpha",
         "trace_deviation_c1alpha", "ratio",
@@ -395,54 +357,6 @@ def cmd_strong_deviation(args):
         if abs(slope - 1.0) > 0.2 or spread > 5.0:
             status = CONTRACT_FAIL
     return run.finish(status)
-
-
-def convergence_study(domain, identity_id, h_list, dof_cap=None):
-    """Identity residuals over mesh levels with a fitted order.
-
-    Returns (rows, fitted_order, flag); flag is "rigid" when every identity
-    term sits at the ball-case noise floor, "converged" when the relative
-    residual is already below the noise band at all levels (closed-form
-    oracle domains), and None otherwise, in which case the order is fitted
-    and must be positive.
-    """
-    if len(h_list) < 3:
-        raise SerrinLabError("need at least 3 mesh levels")
-    rows = []
-    for h in h_list:
-        mesh = generate_mesh(domain, h, dof_cap=dof_cap)
-        if identity_id == "general_1_9":
-            u = solve_torsion_dirichlet(mesh)
-            v = solve_torsion_neumann(mesh)
-            rep = eval_general_identity(u, v)
-        elif identity_id == "neumann_1_11":
-            u = solve_torsion_neumann(mesh)
-            rep = eval_neumann_identity(u, argmin_point(u).z)
-        elif identity_id == "classical_1_2":
-            u = solve_torsion_dirichlet(mesh)
-            rep = eval_classical_identity(u, np.asarray(domain.center))
-        elif identity_id in ("mother_3_2", "mother_3_3"):
-            u = solve_torsion_dirichlet(mesh)
-            pair = eval_mother_identity(u, np.asarray(domain.center))
-            rep = pair[0] if identity_id == "mother_3_2" else pair[1]
-        else:
-            raise SerrinLabError(f"unknown identity {identity_id!r}")
-        rows.append(
-            {
-                "h": h,
-                "rel_residual": rep.rel_residual,
-                "abs_residual": rep.abs_residual,
-                "scale": max(abs(rep.lhs), abs(rep.rhs)),
-            }
-        )
-    if all(r["scale"] <= NOISE_FLOOR for r in rows):
-        return rows, None, "rigid"
-    if all(r["rel_residual"] <= REL_FLOOR for r in rows):
-        return rows, None, "converged"
-    slope, _, _ = loglog_fit(
-        [r["h"] for r in rows], [r["rel_residual"] for r in rows]
-    )
-    return rows, slope, None
 
 
 def cmd_convergence(args):
@@ -494,7 +408,10 @@ def build_parser():
     sp = sub.add_parser("verify-identity", help="evaluate one integral identity")
     common(sp)
     sp.add_argument("--identity", required=True, choices=sorted(ANCHORS))
-    sp.add_argument("--z", default="auto", help="'auto' or 'x,y'")
+    sp.add_argument(
+        "--z", default="auto",
+        help="'auto' or 'x,y'; general_1_9 takes no point and ignores it",
+    )
     sp.add_argument("--tol", type=float, default=1e-2)
     sp.set_defaults(func=cmd_verify_identity)
 

@@ -11,6 +11,8 @@ constant-source Dirichlet, constant-flux Neumann, and harmonic extension of
 boundary data.  Each factors K restricted to a node set: the interior nodes,
 or for Neumann every node but the grounded centre, then a shift to zero
 mean; that one factor per mesh is cached and shared with the eigen-solvers.
+Every system takes a single LU solve; the source-problem solves check
+their normwise backward error.
 """
 
 import math
@@ -22,7 +24,6 @@ import scipy.sparse.linalg as spla
 
 from ._quadrature import gauss_legendre_01, triangle_rule
 from .errors import DegeneratePatch, InvalidSpec, MeshTooFine, SolverFailure
-from .geometry import domain_from_spec
 
 SOURCE = 2.0          # constant Laplacian of the torsion field in the plane
 DEFAULT_DOF_CAP = 400_000
@@ -165,9 +166,7 @@ class Mesh:
     def qualities(self):
         """2 * inradius / circumradius per element (straight version)."""
         v = self.nodes[self.triangles[:, :3]]
-        l0 = np.linalg.norm(v[:, 1] - v[:, 2], axis=1)
-        l1 = np.linalg.norm(v[:, 2] - v[:, 0], axis=1)
-        l2 = np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
+        l0, l1, l2 = self.edge_lengths().T
         area = 0.5 * np.abs(
             (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
             - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
@@ -570,27 +569,13 @@ def _factor(mesh, keep):
     return A, spla.splu(A, permc_spec="MMD_AT_PLUS_A")
 
 
-def _refined_solve(A, lu, b):
-    """lu.solve with up to two rounds of iterative refinement."""
-    den = np.linalg.norm(b)
-    if den == 0:
-        return np.zeros_like(b)
-    x = lu.solve(b)
-    for _ in range(2):
-        r = b - A @ x
-        if np.linalg.norm(r) <= 1e-13 * den:
-            break
-        x = x + lu.solve(r)
-    return x
-
-
 def _solve_interior(mesh, u, b, kind):
     """Fill u on the interior nodes so that (K u)_i = b_i there; the boundary
     values of u stay.  Each Dirichlet problem is solved once, so no cache."""
     free = ~mesh.boundary_mask
     A, lu = _factor(mesh, free)
     rhs = (b - assemble_stiffness(mesh) @ u)[free]
-    u[free] = _refined_solve(A, lu, rhs)
+    u[free] = lu.solve(rhs)
     if np.linalg.norm(rhs) > 0:
         _check_residual(A, u[free], rhs, kind.replace("_", "-"))
     return FemField(mesh, u, kind=kind)
@@ -605,10 +590,10 @@ def solve_zero_mean(mesh, b):
     """
     if "zero_mean_lu" not in mesh._cache:
         m = lumped_mass(mesh)
-        mesh._cache["zero_mean_lu"] = (*_factor(mesh, slice(1, None)), m / m.sum())
-    A, lu, weights = mesh._cache["zero_mean_lu"]
+        mesh._cache["zero_mean_lu"] = (_factor(mesh, slice(1, None))[1], m / m.sum())
+    lu, weights = mesh._cache["zero_mean_lu"]
     u = np.zeros(mesh.n_nodes)
-    u[1:] = _refined_solve(A, lu, b[1:])
+    u[1:] = lu.solve(b[1:])
     return u - weights @ u
 
 
@@ -753,46 +738,3 @@ def eval_gradient(field, elem, ref):
     J = np.einsum("nk,nd->dk", coords, dN)   # J[d,k] = dx_k/dxi_d
     gref = field.coeffs[field.mesh.triangles[elem]] @ dN
     return np.linalg.solve(J, gref)
-
-
-# -- serialization ------------------------------------------------------------
-
-CONTAINER_VERSION = 1
-
-
-def field_to_dict(field):
-    mesh = field.mesh
-    return {
-        "version": CONTAINER_VERSION,
-        "domain": mesh.domain.spec_dict(),
-        "h_target": mesh.h_target,
-        "nodes": mesh.nodes.tolist(),
-        "triangles": mesh.triangles.tolist(),
-        "n_vertices": mesh.n_vertices,
-        "boundary": {
-            "idx": mesh.boundary_idx.tolist(),
-            "theta": mesh.boundary_theta.tolist(),
-            "edges": mesh.boundary_edges.tolist(),
-        },
-        "h_max": mesh.h_max,
-        "coeffs": field.coeffs.tolist(),
-        "kind": field.kind,
-    }
-
-
-def field_from_dict(data):
-    if data.get("version") != CONTAINER_VERSION:
-        raise ValueError(f"unsupported container version {data.get('version')}")
-    domain = domain_from_spec(data["domain"])
-    mesh = Mesh(
-        domain=domain,
-        nodes=np.array(data["nodes"]),
-        triangles=np.array(data["triangles"], dtype=np.int64),
-        n_vertices=int(data["n_vertices"]),
-        boundary_idx=np.array(data["boundary"]["idx"], dtype=np.int64),
-        boundary_theta=np.array(data["boundary"]["theta"]),
-        boundary_edges=np.array(data["boundary"]["edges"], dtype=np.int64),
-        h_target=data["h_target"],
-        h_max=data["h_max"],
-    )
-    return FemField(mesh, np.array(data["coeffs"]), kind=data["kind"])

@@ -7,6 +7,9 @@ weighted Hessian integrals, and the dimensionally calibrated profile psi
 that the stability bounds use.  Parameterized perturbation sweeps fit
 empirical exponents of the gap against each deviation and check the
 one-sided bound gap <= c * psi(deviation) with a single fitted constant.
+The integral identities are dispatched here too: which solutions and which
+point each identity uses, and the convergence of its residual over mesh
+levels.
 """
 
 import math
@@ -16,9 +19,18 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .boundary import holder_seminorm, normal_derivative, tangential_gradient, trace
-from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidVariant
+from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidVariant, SerrinLabError
 from .geometry import build_domain, distances_to_boundary, radii_about
-from .identities import audit_neumann, audit_torsion, flux_constant, hess_h_sq_quad
+from .identities import (
+    audit_neumann,
+    audit_torsion,
+    eval_classical_identity,
+    eval_general_identity,
+    eval_mother_identity,
+    eval_neumann_identity,
+    flux_constant,
+    hess_h_sq_quad,
+)
 from .meshfem import (
     _P2_D2,
     FemField,
@@ -30,11 +42,14 @@ from .meshfem import (
     quad_integral,
     quad_points,
     solve_harmonic_dirichlet,
+    solve_torsion_dirichlet,
     solve_torsion_neumann,
 )
 
 DEFAULT_ALPHA = 0.5
 RIGID_GAP_FLOOR = 1e-10
+NOISE_FLOOR = 1e-8   # identity terms below this are rigid-case noise
+REL_FLOOR = 1e-6     # relative residuals below this are converged noise
 
 
 # -- the stability profile ----------------------------------------------------
@@ -442,6 +457,65 @@ def stability_sweep(mode, amplitudes, rho0=1.0, h_target=0.05,
         default=0.0,
     )
     return SweepResult(records=records, fits=fits, c_fit=c_fit, dropped=dropped)
+
+
+# -- integral identities over mesh levels ------------------------------------------------
+
+def identity_reports(mesh, identity_id, z=None):
+    """Reports of one integral identity on a mesh; z None means the default point.
+
+    general_1_9 pairs the Dirichlet and the Neumann solution and takes no
+    point.  neumann_1_11 defaults z to the minimum point of the Neumann
+    solution; classical_1_2 and the mother forms use the Dirichlet solution
+    and default z to the domain centre.  Either mother form yields both.
+    """
+    if identity_id == "general_1_9":
+        u = solve_torsion_dirichlet(mesh)
+        return [eval_general_identity(u, solve_torsion_neumann(mesh))]
+    if identity_id == "neumann_1_11":
+        u = solve_torsion_neumann(mesh)
+        return [eval_neumann_identity(u, argmin_point(u).z if z is None else z)]
+    if identity_id not in ("classical_1_2", "mother_3_2", "mother_3_3"):
+        raise SerrinLabError(f"unknown identity {identity_id!r}")
+    u = solve_torsion_dirichlet(mesh)
+    if z is None:
+        z = mesh.domain.center
+    if identity_id == "classical_1_2":
+        return [eval_classical_identity(u, z)]
+    return list(eval_mother_identity(u, z))
+
+
+def convergence_study(domain, identity_id, h_list, dof_cap=None):
+    """Identity residuals over mesh levels with a fitted order.
+
+    Returns (rows, fitted_order, flag); flag is "rigid" when every identity
+    term sits at the ball-case noise floor, "converged" when the relative
+    residual is already below the noise band at all levels (closed-form
+    oracle domains), and None otherwise, in which case the order is fitted
+    and must be positive.
+    """
+    if len(h_list) < 3:
+        raise SerrinLabError("need at least 3 mesh levels")
+    rows = []
+    for h in h_list:
+        reports = identity_reports(generate_mesh(domain, h, dof_cap=dof_cap), identity_id)
+        rep = next(r for r in reports if r.identity_id == identity_id)
+        rows.append(
+            {
+                "h": h,
+                "rel_residual": rep.rel_residual,
+                "abs_residual": rep.abs_residual,
+                "scale": max(abs(rep.lhs), abs(rep.rhs)),
+            }
+        )
+    if all(r["scale"] <= NOISE_FLOOR for r in rows):
+        return rows, None, "rigid"
+    if all(r["rel_residual"] <= REL_FLOOR for r in rows):
+        return rows, None, "converged"
+    slope, _, _ = loglog_fit(
+        [r["h"] for r in rows], [r["rel_residual"] for r in rows]
+    )
+    return rows, slope, None
 
 
 # -- strong-deviation pipeline -----------------------------------------------------------

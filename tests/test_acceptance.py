@@ -25,7 +25,6 @@ from serrinlab.meshfem import (
     solve_torsion_dirichlet,
     solve_torsion_neumann,
 )
-from serrinlab.cli import convergence_study
 from serrinlab.polycheck import identity_case_table
 from serrinlab.spectral import (
     check_l2_oscillation_bound,
@@ -34,6 +33,7 @@ from serrinlab.spectral import (
 )
 from serrinlab.stability import (
     argmin_point,
+    convergence_study,
     deviations,
     geometric_bounds_check,
     loglog_fit,

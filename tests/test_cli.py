@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from serrinlab.cli import convergence_study, main
+import serrinlab
+from serrinlab.cli import main
 from serrinlab.geometry import EllipseDomain, build_domain
+from serrinlab.meshfem import generate_mesh, solve_torsion_neumann
+from serrinlab.stability import convergence_study
 
 
 @pytest.fixture()
@@ -32,6 +40,52 @@ def test_solve_writes_artifacts(tmp_path, disk_spec):
     assert any("solve_report.json" in a for a in manifest["artifacts"])
     report = json.loads((out / "solve_report.json").read_text())
     assert abs(report["center_value"] + 0.5) < 1e-5
+
+
+def test_solve_writes_field_npz(tmp_path, pdisk_spec):
+    out = tmp_path / "run"
+    code = main(
+        ["--out", str(out), "solve", "--domain", pdisk_spec,
+         "--h-target", "0.2", "--problem", "torsion-neumann"]
+    )
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert any(a.endswith("field.npz") for a in manifest["artifacts"])
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["domain"]["modes"] == [[2, 0.05, 0.0]]
+    u = solve_torsion_neumann(generate_mesh(build_domain(1.0, [(2, 0.05, 0.0)]), 0.2))
+    with np.load(out / "field.npz") as data:
+        assert np.array_equal(data["coeffs"], u.coeffs)
+        assert np.array_equal(data["nodes"], u.mesh.nodes)
+        assert np.array_equal(data["triangles"], u.mesh.triangles)
+        assert np.array_equal(data["boundary_idx"], u.mesh.boundary_idx)
+        assert np.array_equal(data["boundary_theta"], u.mesh.boundary_theta)
+
+
+def test_verify_identity_general_matches_convergence_row(tmp_path, pdisk_spec):
+    out = tmp_path / "run"
+    code = main(
+        ["--out", str(out), "verify-identity", "--identity", "general_1_9",
+         "--domain", pdisk_spec, "--h-target", "0.1"]
+    )
+    assert code == 0
+    data = json.loads((out / "identity_general_1_9.json").read_text())
+    rows, _, _ = convergence_study(
+        build_domain(1.0, [(2, 0.05, 0.0)]), "general_1_9", [0.2, 0.15, 0.1]
+    )
+    assert rows[-1]["h"] == 0.1
+    assert data["rel_residual"] == rows[-1]["rel_residual"]
+
+
+def test_cli_import_does_not_load_scipy_spatial():
+    src = str(Path(serrinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, serrinlab.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_identity_rigid(tmp_path, disk_spec):

@@ -13,8 +13,6 @@ from serrinlab.meshfem import (
     assemble_mass,
     assemble_stiffness,
     boundary_load_vector,
-    field_from_dict,
-    field_to_dict,
     generate_mesh,
     solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
@@ -226,17 +224,6 @@ def test_convergence_harmonic_cubic(disk):
         h1.append(h1_seminorm_error(w, egrad))
     assert abs(fit_order(hs, l2) - 3.0) <= 0.3
     assert abs(fit_order(hs, h1) - 2.0) <= 0.3
-
-
-# -- serialization -----------------------------------------------------------------
-
-
-def test_field_roundtrip(pdisk_neumann):
-    data = field_to_dict(pdisk_neumann)
-    back = field_from_dict(data)
-    assert back.kind == "torsion_neumann"
-    assert np.allclose(back.coeffs, pdisk_neumann.coeffs)
-    assert np.allclose(back.mesh.nodes, pdisk_neumann.mesh.nodes)
 
 
 def test_hessian_trace_converges(pdisk):
