@@ -323,8 +323,10 @@ def cmd_strong_deviation(args):
             (eps, domain_from_spec({"rho0": 1.0, "modes": [[args.mode, eps, 0.0]]}))
             for eps in _numbers(args.amplitudes, "--amplitudes", float)
         ]
-    else:
+    elif args.domain is not None:
         cases = [(0.0, _load_domain(args))]
+    else:
+        raise InvalidSpec("strong-deviation needs --amplitudes or --domain")
     rows = []
     for eps, domain in cases:
         mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)

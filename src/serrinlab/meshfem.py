@@ -13,6 +13,11 @@ or for Neumann every node but the grounded centre, then a shift to zero
 mean; that one factor per mesh is cached and shared with the eigen-solvers.
 Every system takes a single LU solve; the source-problem solves check
 their normwise backward error.
+
+Element operators are batched matrix products over all elements.  The
+node -> element incidence is one cached CSR matrix (`Mesh.node_elements`);
+patch recovery of second derivatives reads its patches from it and fits
+every node in one batched least-squares solve per block of nodes.
 """
 
 import math
@@ -41,6 +46,9 @@ _RADIAL = 0.75        # radial gap = _RADIAL * spacing; counts quantize the
 
 # interior sampling points for gradient recovery (barycentric 2/3,1/6,1/6)
 _SPR_REF = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
+# nodes per recovery block: keeps the per-sample-point arrays of a block near
+# 10 MB, where all nodes of an h=0.025 mesh at once would take ~340 MB
+_RECOVERY_BLOCK = 2048
 
 
 # -- reference element ------------------------------------------------------
@@ -145,22 +153,31 @@ class Mesh:
             N = p2_shape(ref)
             dN = p2_dshape(ref)
             coords = self.nodes[self.triangles]            # (T,6,2)
-            J = np.einsum("tnk,qnd->tqdk", coords, dN)     # (T,Q,2,2)
+            J = np.swapaxes(dN, 1, 2) @ coords[:, None]    # (T,Q,2,2)
             detJ, inv = _inverse_jacobian(J)
-            g = np.einsum("qnd,tqdk->tqnk", dN, inv)
-            qp = np.einsum("qn,tnk->tqk", N, coords)
-            self._cache[key] = {"w": w, "N": N, "detJ": detJ, "grad": g, "qp": qp}
+            self._cache[key] = {
+                "w": w, "N": N, "detJ": detJ, "grad": dN @ inv, "qp": N @ coords
+            }
         return self._cache[key]
 
     @property
     def node_elements(self):
-        """List of element indices incident to each node."""
+        """CSR node -> element incidence (n_nodes, n_elements).
+
+        Row n lists the elements incident to node n in ascending order:
+        ``node_elements[n].indices``.
+        """
         if "node_elems" not in self._cache:
-            incid = [[] for _ in range(self.n_nodes)]
-            for t, row in enumerate(self.triangles):
-                for n in row:
-                    incid[n].append(t)
-            self._cache["node_elems"] = incid
+            flat = self.triangles.ravel()
+            # a stable sort of the element-major node list keeps each row's
+            # elements ascending
+            elems = np.argsort(flat, kind="stable") // 6
+            indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(flat, minlength=self.n_nodes), out=indptr[1:])
+            self._cache["node_elems"] = sp.csr_matrix(
+                (np.ones(len(elems), dtype=bool), elems, indptr),
+                shape=(self.n_nodes, len(self.triangles)),
+            )
         return self._cache["node_elems"]
 
     def qualities(self):
@@ -310,59 +327,44 @@ def generate_mesh(domain, h_target, dof_cap=None):
         tris.extend(_merge_strip(ring_indices[j], ring_indices[j + 1]))
     tri_v = np.array(tris, dtype=np.int64)
 
-    # boundary edge lookup: consecutive outer-ring vertices -> midnode theta
-    n_b = n_ring[-1]
-    outer = ring_indices[-1]
-    bnd_theta = {}
-    for i in range(n_b):
-        a, b = int(outer[i]), int(outer[(i + 1) % n_b])
-        bnd_theta[(min(a, b), max(a, b))] = 2.0 * np.pi * (i + 0.5) / n_b
-
-    edge_nodes = {}
-    extra = []
-    boundary_edges = []
-    idx = vertices.shape[0]
+    # edge midnodes: slots (v1,v2), (v2,v0), (v0,v1) of each triangle, each
+    # edge numbered by its first appearance in that element-major order
+    n_v = vertices.shape[0]
+    ends = np.sort(tri_v[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+    edge_keys, first, slot_edge = np.unique(
+        ends[:, 0] * n_v + ends[:, 1], return_index=True, return_inverse=True
+    )
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
     tri6 = np.empty((tri_v.shape[0], 6), dtype=np.int64)
     tri6[:, :3] = tri_v
-    for t, (a, b, c) in enumerate(tri_v):
-        for slot, (p, q) in enumerate(((b, c), (c, a), (a, b))):
-            key = (min(int(p), int(q)), max(int(p), int(q)))
-            node = edge_nodes.get(key)
-            if node is None:
-                th = bnd_theta.get(key)
-                if th is None:
-                    extra.append(0.5 * (vertices[key[0]] + vertices[key[1]]))
-                else:
-                    extra.append(domain.boundary_point(th))
-                node = idx
-                edge_nodes[key] = node
-                idx += 1
-            tri6[t, 3 + slot] = node
+    tri6[:, 3:] = n_v + rank[slot_edge].reshape(-1, 3)
+    mid_ends = ends[np.sort(first)]
+    extra = 0.5 * (vertices[mid_ends[:, 0]] + vertices[mid_ends[:, 1]])
 
-    nodes = np.vstack([vertices, np.array(extra)])
+    # boundary edges join consecutive outer-ring vertices; their midnodes sit
+    # on the curve at 2*pi*(i+0.5)/n_b, the vertices at 2*pi*i/n_b
+    n_b = n_ring[-1]
+    outer = ring_indices[-1]
+    nxt = np.roll(outer, -1)
+    mids = n_v + rank[np.searchsorted(
+        edge_keys, np.minimum(outer, nxt) * n_v + np.maximum(outer, nxt)
+    )]
+    mid_theta = 2.0 * np.pi * (np.arange(n_b) + 0.5) / n_b
+    extra[mids - n_v] = domain.boundary_point(mid_theta)
+    nodes = np.vstack([vertices, extra])
 
-    # ordered boundary node list: vertices at 2*pi*i/n_b, midnodes interleaved
-    b_idx = np.empty(2 * n_b, dtype=np.int64)
-    b_theta = np.empty(2 * n_b)
-    edges = []
-    for i in range(n_b):
-        a, b = int(outer[i]), int(outer[(i + 1) % n_b])
-        key = (min(a, b), max(a, b))
-        mid = edge_nodes[key]
-        b_idx[2 * i] = a
-        b_theta[2 * i] = 2.0 * np.pi * i / n_b
-        b_idx[2 * i + 1] = mid
-        b_theta[2 * i + 1] = 2.0 * np.pi * (i + 0.5) / n_b
-        edges.append((a, b, mid))
+    b_idx = np.stack([outer, mids], axis=1).ravel()
+    b_theta = np.stack([2.0 * np.pi * np.arange(n_b) / n_b, mid_theta], axis=1).ravel()
 
     mesh = Mesh(
         domain=domain,
         nodes=nodes,
         triangles=tri6,
-        n_vertices=vertices.shape[0],
+        n_vertices=n_v,
         boundary_idx=b_idx,
         boundary_theta=b_theta,
-        boundary_edges=np.array(edges, dtype=np.int64),
+        boundary_edges=np.stack([outer, nxt, mids], axis=1),
         h_target=h_target,
         h_max=0.0,
     )
@@ -379,11 +381,19 @@ def generate_mesh(domain, h_target, dof_cap=None):
 def assemble_stiffness(mesh):
     if "K" not in mesh._cache:
         ops = mesh.element_ops(ASSEMBLY_DEGREE)
-        Ke = 0.5 * np.einsum(
-            "q,tq,tqik,tqjk->tij", ops["w"], ops["detJ"], ops["grad"], ops["grad"]
-        )
-        mesh._cache["K"] = _scatter(mesh, Ke)
+        mesh._cache["K"] = _scatter(mesh, _element_stiffness(ops))
     return mesh._cache["K"]
+
+
+def _element_stiffness(ops):
+    """Ke (T,6,6) = sum_q c_q G_q G_q^T, c_q = |T| w_q, one batched product per
+    quadrature point so that no scaled copy of the (T,Q,6,2) gradients is made."""
+    c = 0.5 * ops["w"] * ops["detJ"]               # (T,Q)
+    Ke = np.zeros((len(c), 6, 6))
+    for q in range(c.shape[1]):
+        G = ops["grad"][:, q]                      # (T,6,2)
+        Ke += c[:, q, None, None] * (G @ np.swapaxes(G, 1, 2))
+    return Ke
 
 
 def assemble_mass(mesh):
@@ -500,6 +510,10 @@ def _recover(field):
     recovered gradient, its slope the recovered Hessian.  Patches with
     fewer than 3 elements are extended by one vertex ring; nodes whose
     patch cannot support a fit fall back to element values and are flagged.
+
+    All fits are one batched least-squares problem over the (node, element)
+    pairs of a CSR patch matrix, taken in blocks of _RECOVERY_BLOCK nodes
+    so that the transient arrays do not grow with the mesh.
     """
     mesh = field.mesh
     if field.analytic_gradient is not None:
@@ -514,41 +528,67 @@ def _recover(field):
     gsamp = np.einsum("tqd,tqdk->tqk", gref, inv)          # (T,3,2) physical grads
     psamp = np.einsum("qn,tnk->tqk", p2_shape(_SPR_REF), coords)
 
-    node_elems = mesh.node_elements
-    elem_hess = None
+    patches = _patch_matrix(mesh)
     grad = np.zeros((mesh.n_nodes, 2))
     hess = np.zeros((mesh.n_nodes, 3))
-    flagged = []
-    for n in range(mesh.n_nodes):
-        elems = node_elems[n]
-        if len(elems) == 0:
-            raise DegeneratePatch(f"node {n} has no incident elements")
-        if len(elems) < 3:
-            seen = set(elems)
-            for e in list(elems):
-                for v in tris[e, :3]:
-                    seen.update(node_elems[v])
-            elems = sorted(seen)
-        if len(elems) < 3:
-            if elem_hess is None:
-                elem_hess = _element_hessians(field)
+    for n0 in range(0, mesh.n_nodes, _RECOVERY_BLOCK):
+        block = slice(n0, n0 + _RECOVERY_BLOCK)
+        grad[block], hess[block] = _fit_patches(
+            patches[block], mesh.nodes[block], gsamp, psamp
+        )
+
+    flagged = np.flatnonzero(np.diff(patches.indptr) < 3).tolist()
+    if flagged:
+        elem_hess = _element_hessians(field)
+        for n in flagged:
+            elems = patches[n].indices
             grad[n] = gsamp[elems].mean(axis=(0, 1))
             hess[n] = elem_hess[elems].mean(axis=0)
-            flagged.append(n)
-            continue
-        pts = psamp[elems].reshape(-1, 2) - mesh.nodes[n]
-        gs = gsamp[elems].reshape(-1, 2)
-        scale = np.abs(pts).max()
-        A = np.column_stack([np.ones(len(pts)), pts / scale])
-        AtA = A.T @ A
-        Atb = A.T @ gs
-        sol = np.linalg.solve(AtA, Atb)            # (3,2): columns gx, gy fits
-        grad[n] = sol[0]
-        hxx = sol[1, 0] / scale
-        hyy = sol[2, 1] / scale
-        hxy = 0.5 * (sol[2, 0] + sol[1, 1]) / scale
-        hess[n] = (hxx, hyy, hxy)
     return RecoveredDerivatives(grad, hess, flagged)
+
+
+def _patch_matrix(mesh):
+    """CSR node -> patch elements: the incident elements, or for a node with
+    fewer than 3 of them, every element sharing a vertex with one of them."""
+    incid = mesh.node_elements
+    counts = np.diff(incid.indptr)
+    if not counts.all():
+        raise DegeneratePatch(f"node {np.argmin(counts)} has no incident elements")
+    small = counts < 3
+    if not small.any():
+        return incid
+    n_t = len(mesh.triangles)
+    elem_verts = sp.csr_matrix(
+        (np.ones(3 * n_t, dtype=bool), mesh.triangles[:, :3].ravel(),
+         np.arange(0, 3 * n_t + 1, 3)),
+        shape=(n_t, mesh.n_nodes),
+    )
+    grown = incid[small] @ elem_verts @ incid
+    grown.sort_indices()
+    rows = np.concatenate([np.flatnonzero(~small), np.flatnonzero(small)])
+    return sp.vstack([incid[~small], grown], format="csr")[np.argsort(rows)]
+
+
+def _fit_patches(patches, centres, gsamp, psamp):
+    """Linear least-squares fits of the sampled gradients over each row of
+    `patches` about its node `centres` (n,2): the fitted values (n,2) and
+    symmetric slopes (n,3).  Rows of fewer than 3 elements get no fit; their
+    values are meaningless and left to the caller's fallback."""
+    lens = np.diff(patches.indptr)
+    starts = 3 * patches.indptr[:-1]                   # first sample point per row
+    elems = patches.indices
+    pts = (psamp[elems] - np.repeat(centres, lens, axis=0)[:, None]).reshape(-1, 2)
+    scale = np.maximum.reduceat(np.abs(pts.ravel()), 2 * starts)
+    # rows [1, x, y] of the design matrix and the data [gx, gy], per point
+    a = np.ones((3, len(pts)))
+    a[1:] = (pts / np.repeat(scale, 3 * lens)[:, None]).T
+    b = np.concatenate([a, gsamp[elems].reshape(-1, 2).T])
+    # A^T [A g] per row, (n,3,5); a row without a fit solves the identity
+    normal = np.moveaxis(np.add.reduceat(a[:, None] * b, starts, axis=2), 2, 0)
+    normal[lens < 3, :, :3] = np.eye(3)
+    sol = np.linalg.solve(normal[..., :3], normal[..., 3:])  # (n,3,2): gx, gy fits
+    hxy = 0.5 * (sol[:, 2, 0] + sol[:, 1, 1])
+    return sol[:, 0], np.stack([sol[:, 1, 0], sol[:, 2, 1], hxy], 1) / scale[:, None]
 
 
 # -- solvers ----------------------------------------------------------------
@@ -688,16 +728,10 @@ def locate_point(mesh, x, tol=1e-10):
     """Find (element, reference coords) containing physical point x."""
     x = np.asarray(x, dtype=float)
     d = np.linalg.norm(mesh.nodes[: mesh.n_vertices] - x, axis=1)
-    order = np.argsort(d)[:4]
-    candidates = []
-    seen = set()
-    for v in order:
-        for e in mesh.node_elements[int(v)]:
-            if e not in seen:
-                seen.add(e)
-                candidates.append(e)
+    near = mesh.node_elements[np.argsort(d)[:4]].indices
+    _, first = np.unique(near, return_index=True)
     best = None
-    for e in candidates:
+    for e in near[np.sort(first)].tolist():   # nearest vertex's elements first
         ref = _invert_map(mesh, e, x)
         if ref is None:
             continue

@@ -126,7 +126,7 @@ def argmin_point(u_field, tie_tol=1e-11) -> ArgminResult:
     mesh = u_field.mesh
     best_node = int(np.argmin(u_field.coeffs))
     cands = []
-    for e in mesh.node_elements[best_node]:
+    for e in mesh.node_elements[best_node].indices.tolist():
         c6 = u_field.coeffs[mesh.triangles[e]]
         val, ref = _element_min(c6)
         phys = p2_shape(ref[None, :])[0] @ mesh.nodes[mesh.triangles[e]]

@@ -195,6 +195,7 @@ def test_missing_domain_file_is_operational_error(tmp_path):
         (None, ["pointwise-identity", "--N", "1"]),
         (None, ["pointwise-identity", "--degree", "1"]),
         ({"rho0": 1.0, "modes": [[2.5, 0.05, 0]]}, ["solve", "--h-target", "0.1"]),
+        (None, ["strong-deviation"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):

@@ -4,16 +4,28 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import fit_order, h1_seminorm_error, l2_error
-from serrinlab.errors import MeshTooFine
-from serrinlab.geometry import build_domain
+from serrinlab._quadrature import triangle_rule
+from serrinlab.errors import MeshTooFine, NonPositiveRadius, NotStarShaped
+from serrinlab.geometry import build_domain, domain_from_spec
 from serrinlab.meshfem import (
+    _SPR_REF,
     FemField,
+    Mesh,
+    _element_hessians,
+    _element_stiffness,
+    _inverse_jacobian,
+    _recover,
     assemble_mass,
     assemble_stiffness,
     boundary_load_vector,
     generate_mesh,
+    p2_dshape,
+    p2_shape,
+    quad_integral,
     solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
     solve_torsion_neumann,
@@ -61,6 +73,92 @@ def test_boundary_nodes_on_curve(pdisk):
 
 def test_center_is_node_zero(disk_mesh):
     assert np.allclose(disk_mesh.nodes[0], [0.0, 0.0])
+
+
+def _dict_loop_numbering(domain, vertices, tri_v, n_b):
+    """Reference midnode numbering: a dict over the edges of each triangle in
+    element-major, slot order (v1,v2), (v2,v0), (v0,v1); the outer ring is the
+    last n_b vertices."""
+    outer = np.arange(len(vertices) - n_b, len(vertices))
+    bnd_theta = {}
+    for i in range(n_b):
+        a, b = int(outer[i]), int(outer[(i + 1) % n_b])
+        bnd_theta[(min(a, b), max(a, b))] = 2.0 * np.pi * (i + 0.5) / n_b
+    edge_nodes = {}
+    extra = []
+    idx = len(vertices)
+    tri6 = np.empty((len(tri_v), 6), dtype=np.int64)
+    tri6[:, :3] = tri_v
+    for t, (a, b, c) in enumerate(tri_v):
+        for slot, (p, q) in enumerate(((b, c), (c, a), (a, b))):
+            key = (min(int(p), int(q)), max(int(p), int(q)))
+            node = edge_nodes.get(key)
+            if node is None:
+                th = bnd_theta.get(key)
+                if th is None:
+                    extra.append(0.5 * (vertices[key[0]] + vertices[key[1]]))
+                else:
+                    extra.append(domain.boundary_point(th))
+                node = idx
+                edge_nodes[key] = node
+                idx += 1
+            tri6[t, 3 + slot] = node
+    b_idx = np.empty(2 * n_b, dtype=np.int64)
+    b_theta = np.empty(2 * n_b)
+    edges = []
+    for i in range(n_b):
+        a, b = int(outer[i]), int(outer[(i + 1) % n_b])
+        mid = edge_nodes[(min(a, b), max(a, b))]
+        b_idx[2 * i], b_idx[2 * i + 1] = a, mid
+        b_theta[2 * i] = 2.0 * np.pi * i / n_b
+        b_theta[2 * i + 1] = 2.0 * np.pi * (i + 0.5) / n_b
+        edges.append((a, b, mid))
+    return {
+        "nodes": np.vstack([vertices, np.array(extra)]),
+        "triangles": tri6,
+        "boundary_idx": b_idx,
+        "boundary_theta": b_theta,
+        "boundary_edges": np.array(edges, dtype=np.int64),
+    }
+
+
+def test_mesh_numbering_matches_dict_loop(disk, pdisk, ellipse):
+    for dom in (disk, pdisk, ellipse):
+        mesh = generate_mesh(dom, 0.1)
+        nv = mesh.n_vertices
+        ref = _dict_loop_numbering(
+            dom, mesh.nodes[:nv], mesh.triangles[:, :3], len(mesh.boundary_idx) // 2
+        )
+        for name, want in ref.items():
+            got = getattr(mesh, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def _per_element_rel(got, want):
+    axes = tuple(range(1, want.ndim))
+    return (np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)).max()
+
+
+def test_element_operators_match_einsum(pdisk, ellipse):
+    for dom in (pdisk, ellipse):
+        mesh = generate_mesh(dom, 0.1)
+        coords = mesh.nodes[mesh.triangles]
+        for degree in (4, 8):
+            ops = mesh.element_ops(degree)
+            # reference: the einsum forms at the same quadrature points
+            bary, _ = triangle_rule(degree)
+            N, dN = p2_shape(bary[:, 1:]), p2_dshape(bary[:, 1:])
+            detJ, inv = _inverse_jacobian(np.einsum("tnk,qnd->tqdk", coords, dN))
+            grad = np.einsum("qnd,tqdk->tqnk", dN, inv)
+            qp = np.einsum("qn,tnk->tqk", N, coords)
+            assert _per_element_rel(ops["detJ"], detJ) <= 1e-12
+            assert _per_element_rel(ops["grad"], grad) <= 1e-12
+            assert _per_element_rel(ops["qp"], qp) <= 1e-12
+        ops = mesh.element_ops(8)
+        Ke = 0.5 * np.einsum(
+            "q,tq,tqik,tqjk->tij", ops["w"], ops["detJ"], ops["grad"], ops["grad"]
+        )
+        assert _per_element_rel(_element_stiffness(ops), Ke) <= 1e-12
 
 
 # -- Dirichlet torsion ---------------------------------------------------------
@@ -173,6 +271,81 @@ def test_recover_gradient_quadratic(disk_mesh):
     assert np.abs(g[interior] - disk_mesh.nodes[interior]).max() < 1e-9
 
 
+def _loop_recover(field):
+    """Reference patch recovery: one least-squares solve per node."""
+    mesh = field.mesh
+    tris = mesh.triangles
+    coords = mesh.nodes[tris]
+    dN = p2_dshape(_SPR_REF)
+    _, inv = _inverse_jacobian(np.einsum("tnk,qnd->tqdk", coords, dN))
+    gref = np.einsum("qnd,tn->tqd", dN, field.coeffs[tris])
+    gsamp = np.einsum("tqd,tqdk->tqk", gref, inv)
+    psamp = np.einsum("qn,tnk->tqk", p2_shape(_SPR_REF), coords)
+    node_elems = [[] for _ in range(mesh.n_nodes)]
+    for t, row in enumerate(tris):
+        for n in row:
+            node_elems[n].append(t)
+    elem_hess = None
+    grad = np.zeros((mesh.n_nodes, 2))
+    hess = np.zeros((mesh.n_nodes, 3))
+    flagged = []
+    for n in range(mesh.n_nodes):
+        elems = node_elems[n]
+        if len(elems) < 3:
+            seen = set(elems)
+            for e in list(elems):
+                for v in tris[e, :3]:
+                    seen.update(node_elems[v])
+            elems = sorted(seen)
+        if len(elems) < 3:
+            if elem_hess is None:
+                elem_hess = _element_hessians(field)
+            grad[n] = gsamp[elems].mean(axis=(0, 1))
+            hess[n] = elem_hess[elems].mean(axis=0)
+            flagged.append(n)
+            continue
+        pts = psamp[elems].reshape(-1, 2) - mesh.nodes[n]
+        gs = gsamp[elems].reshape(-1, 2)
+        scale = np.abs(pts).max()
+        A = np.column_stack([np.ones(len(pts)), pts / scale])
+        sol = np.linalg.solve(A.T @ A, A.T @ gs)
+        grad[n] = sol[0]
+        hess[n] = (
+            sol[1, 0] / scale, sol[2, 1] / scale, 0.5 * (sol[2, 0] + sol[1, 1]) / scale
+        )
+    return grad, hess, flagged
+
+
+def test_recover_matches_loop_reference(pdisk, ellipse):
+    for dom in (pdisk, ellipse):
+        f = solve_torsion_dirichlet(generate_mesh(dom, 0.1))
+        rec = _recover(f)
+        grad, hess, flagged = _loop_recover(f)
+        assert np.abs(rec.gradient - grad).max() <= 1e-12 * np.abs(grad).max()
+        assert np.abs(rec.hessian - hess).max() <= 1e-12 * np.abs(hess).max()
+        assert rec.flagged == flagged
+
+
+def test_recover_fallback_two_elements():
+    # two straight elements sharing an edge: every patch, extended or not,
+    # holds both, so every node falls back to element averages
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    mids = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.5, 1.0], [1.0, 0.5]])
+    tris = np.array([[0, 1, 2, 4, 5, 6], [1, 3, 2, 7, 4, 8]])
+    mesh = Mesh(None, np.vstack([verts, mids]), tris, 4, np.array([], dtype=int),
+                np.array([]), np.empty((0, 3), dtype=int), 1.0, 1.0)
+    x, y = mesh.nodes.T
+    f = FemField(mesh, x**2 + 3 * x * y - y**2 + 2 * x)
+    rec = _recover(f)
+    assert rec.flagged == list(range(9))
+    # gradient averaged over the six sample points: its value at (1/2, 1/2)
+    assert np.abs(rec.gradient - [4.5, 0.5]).max() <= 1e-13
+    assert np.abs(rec.hessian - [2.0, -2.0, 3.0]).max() <= 1e-12
+    grad, hess, flagged = _loop_recover(f)
+    assert flagged == rec.flagged
+    assert np.array_equal(rec.gradient, grad) and np.array_equal(rec.hessian, hess)
+
+
 def test_recover_ellipse_torsion_hessian(ellipse_dirichlet):
     H = ellipse_dirichlet.recovered.hessian
     nodes = ellipse_dirichlet.mesh.nodes
@@ -258,3 +431,57 @@ def test_ball_rigidity_volume_integral(disk_dirichlet):
     ubar = float(disk_dirichlet.trace_values().max())
     V = quad_integral(mesh, (ubar - disk_dirichlet.values_at_quad()) * hess_h_sq)
     assert 0.0 <= V <= 1e-8
+
+
+# -- mesh properties over random domains ------------------------------------------
+
+_spec = st.one_of(
+    st.fixed_dictionaries({
+        "rho0": st.floats(1.0, 1.5),
+        "modes": st.lists(
+            st.tuples(
+                st.integers(1, 6), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)
+            ),
+            max_size=3,
+        ),
+        "center": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    }),
+    st.fixed_dictionaries({
+        "ellipse": st.tuples(st.floats(1.0, 2.0), st.floats(1.0, 2.0)),
+        "center": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    }),
+)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(spec=_spec, h=st.floats(0.2, 0.3))
+def test_mesh_properties(spec, h):
+    try:
+        dom = domain_from_spec(spec)
+    except (NotStarShaped, NonPositiveRadius):
+        assume(False)
+    mesh = generate_mesh(dom, h)
+    for degree in (4, 8):
+        assert (mesh.element_ops(degree)["detJ"] > 0).all()
+    # Euler characteristic of a disk: vertices - edges (one midnode each) + faces
+    n_edges = mesh.n_nodes - mesh.n_vertices
+    assert mesh.n_vertices - n_edges + len(mesh.triangles) == 1
+    ops = mesh.element_ops(8)
+    area = quad_integral(mesh, np.ones_like(ops["detJ"]), 8)
+    assert abs(assemble_mass(mesh).sum() - area) <= 1e-12 * area
+    pts = mesh.nodes[mesh.boundary_idx]
+    r = np.linalg.norm(pts - dom.center, axis=1)
+    assert np.abs(r - dom.radius(mesh.boundary_theta)).max() <= 1e-13
+
+    # recovery is exact for a quadratic where no patch reaches a curved element
+    incid = mesh.node_elements
+    near = incid.T @ (incid @ mesh.boundary_mask[mesh.triangles].any(axis=1))
+    interior = ~(incid @ near)
+    assert interior.any()
+    c = np.asarray(dom.center)
+    d = mesh.nodes - c
+    f = FemField(mesh, 0.5 * d[:, 0] ** 2 + 2.0 * d[:, 0] * d[:, 1] - d[:, 1] ** 2)
+    exact_grad = np.stack([d[:, 0] + 2.0 * d[:, 1], 2.0 * d[:, 0] - 2.0 * d[:, 1]], 1)
+    rec = f.recovered
+    assert np.abs(rec.hessian[interior] - [1.0, -2.0, 2.0]).max() < 1e-9
+    assert np.abs(rec.gradient[interior] - exact_grad[interior]).max() < 1e-9
