@@ -3,16 +3,25 @@
 Boundary nodes sit on a uniform theta grid, so trace data supports spectral
 (FFT) differentiation with the analytic metric |gamma'(theta)|.  Surface
 integrals use the periodic trapezoid weights w_i = dtheta * |gamma'(theta_i)|,
-spectrally accurate for smooth integrands.  Pointwise normal and tangential
-derivative data comes from the patch-recovered volume gradient; the
-tangential component is cross-checked against a 4th-order finite-difference
-arclength derivative of the trace.
+spectrally accurate for smooth integrands.  The boundary quadrature and
+frame (normal, tangent, curvature, metric, weights, cumulative arclength)
+are built once per mesh, and every boundary vector is split into its normal
+and tangential parts by one function, `normal_tangential`.
+
+Two tangential derivatives are in use.  The deviation measures and the
+Lemma 2.1 residual take the recovered volume gradient dotted with tau
+(`tangential_gradient`, cross-checked against a 4th-order finite-difference
+arclength derivative of the trace); the integral identities take the
+spectral arclength derivative of the trace (`spectral_tangential_derivative`).
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from ._quadrature import fft_antiderivative, fft_derivative
-from .errors import NotDirichlet, NotNeumann
+from .errors import InvalidSpec, NotDirichlet, NotNeumann
+from .meshfem import _memo
 
 KIND_AUDIT_TOL = 0.05   # oscillation tolerance for boundary-data audits
 
@@ -20,23 +29,20 @@ KIND_AUDIT_TOL = 0.05   # oscillation tolerance for boundary-data audits
 class BoundaryFunction:
     """Nodal values on the closed boundary curve, ordered by theta.
 
-    Carries the quadrature weights (periodic trapezoid with the analytic
-    arclength density), cumulative arclength, and optionally tangential
-    derivative values.
+    Carries the mesh's quadrature weights (periodic trapezoid with the
+    analytic arclength density), metric and cumulative arclength.
     """
 
-    def __init__(self, mesh, values, d_ds=None):
+    def __init__(self, mesh, values):
         self.mesh = mesh
         self.values = np.asarray(values, dtype=float)
         self.theta = mesh.boundary_theta
         if self.values.shape != self.theta.shape:
             raise ValueError("value count does not match boundary node count")
-        _, _, _, speed = _frames(mesh)
-        m = self.theta.size
-        self.metric = speed
-        self.weights = (2.0 * np.pi / m) * speed
-        self.arclengths = fft_antiderivative(speed)  # theta-antiderivative of |gamma'|
-        self.d_ds = None if d_ds is None else np.asarray(d_ds, dtype=float)
+        frames = _frames(mesh)
+        self.metric = frames.metric
+        self.weights = frames.weights
+        self.arclengths = frames.arclengths
 
     @property
     def total_length(self):
@@ -51,25 +57,40 @@ class BoundaryFunction:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
+@_memo
 def _frames(mesh):
-    """Cached (point, nu, kappa, speed) at the boundary nodes."""
-    if "bframes" not in mesh._cache:
-        mesh._cache["bframes"] = mesh.domain.frame_arrays(mesh.boundary_theta)
-    return mesh._cache["bframes"]
+    """The mesh's boundary record: normals nu, tangents tau = (-nu_y, nu_x),
+    curvature kappa, metric |gamma'|, trapezoid weights and cumulative
+    arclength (the theta-antiderivative of the metric) at the boundary nodes."""
+    _, nu, kappa, speed = mesh.domain.frame_arrays(mesh.boundary_theta)
+    return SimpleNamespace(
+        nu=nu,
+        tau=np.stack([-nu[:, 1], nu[:, 0]], axis=1),
+        kappa=kappa,
+        metric=speed,
+        weights=(2.0 * np.pi / speed.size) * speed,
+        arclengths=fft_antiderivative(speed),
+    )
 
 
 def boundary_normals(mesh):
-    return _frames(mesh)[1]
+    return _frames(mesh).nu
 
 
 def boundary_tangents(mesh):
     """Counter-clockwise unit tangents tau = (-nu_y, nu_x) at the boundary nodes."""
-    nu = boundary_normals(mesh)
-    return np.stack([-nu[:, 1], nu[:, 0]], axis=1)
+    return _frames(mesh).tau
 
 
 def boundary_curvatures(mesh):
-    return _frames(mesh)[2]
+    return _frames(mesh).kappa
+
+
+def normal_tangential(mesh, vectors):
+    """(v . nu, v . tau) of vectors v (m,2) given at the boundary nodes."""
+    frames = _frames(mesh)
+    return (np.einsum("ij,ij->i", vectors, frames.nu),
+            np.einsum("ij,ij->i", vectors, frames.tau))
 
 
 def hessian_flux(H, g, nu):
@@ -89,9 +110,8 @@ def trace(field) -> BoundaryFunction:
 def normal_derivative(field) -> BoundaryFunction:
     """v_nu = <recovered gradient, nu> at the boundary nodes."""
     mesh = field.mesh
-    g = field.recovered.gradient[mesh.boundary_idx]
-    nu = boundary_normals(mesh)
-    return BoundaryFunction(mesh, np.einsum("ij,ij->i", g, nu))
+    u_nu, _ = normal_tangential(mesh, field.recovered.gradient[mesh.boundary_idx])
+    return BoundaryFunction(mesh, u_nu)
 
 
 def tangential_gradient(field) -> BoundaryFunction:
@@ -101,8 +121,7 @@ def tangential_gradient(field) -> BoundaryFunction:
     4th-order finite-difference arclength derivative of the trace.
     """
     mesh = field.mesh
-    g = field.recovered.gradient[mesh.boundary_idx]
-    vals = np.einsum("ij,ij->i", g, boundary_tangents(mesh))
+    _, vals = normal_tangential(mesh, field.recovered.gradient[mesh.boundary_idx])
     out = BoundaryFunction(mesh, vals)
     fd = _fd4_derivative(field.trace_values(), mesh.boundary_theta) / out.metric
     out.fd_discrepancy = float(np.abs(vals - fd).max())
@@ -124,9 +143,7 @@ def spectral_tangential_derivative(bfun) -> BoundaryFunction:
 
 def laplace_beltrami(bfun) -> BoundaryFunction:
     """Second arclength derivative d^2/ds^2 (the curve Laplace-Beltrami)."""
-    first = fft_derivative(bfun.values) / bfun.metric
-    second = fft_derivative(first) / bfun.metric
-    return BoundaryFunction(bfun.mesh, second)
+    return spectral_tangential_derivative(spectral_tangential_derivative(bfun))
 
 
 def surface_integral(bfun, values=None) -> float:
@@ -181,8 +198,8 @@ def lemma21_residual(u_field, kind, audit_tol=KIND_AUDIT_TOL) -> BoundaryFunctio
 
     idx = mesh.boundary_idx
     rec = u_field.recovered
-    _, nu, kappa, _ = _frames(mesh)
-    lhs = hessian_flux(rec.hessian[idx], rec.gradient[idx], nu)
+    kappa = boundary_curvatures(mesh)
+    lhs = hessian_flux(rec.hessian[idx], rec.gradient[idx], boundary_normals(mesh))
     if kind == "dirichlet":
         rhs = unu.values * (2.0 - kappa * unu.values)
     else:
@@ -196,7 +213,9 @@ def lemma21_residual(u_field, kind, audit_tol=KIND_AUDIT_TOL) -> BoundaryFunctio
 
 def holder_seminorm(values, arclengths, total_length, alpha, min_sep):
     """Discrete Hoelder seminorm: max |f_i - f_j| / d_ij^alpha over node
-    pairs with periodic arclength separation d_ij >= min_sep."""
+    pairs with periodic arclength separation d_ij >= min_sep; 0 < alpha <= 1."""
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidSpec(f"Hoelder exponent must lie in (0, 1], got {alpha}")
     values = np.asarray(values, dtype=float)
     s = np.asarray(arclengths, dtype=float)
     best = 0.0

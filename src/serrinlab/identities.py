@@ -23,11 +23,10 @@ import numpy as np
 
 from .boundary import (
     BoundaryFunction,
-    boundary_curvatures,
-    boundary_normals,
-    boundary_tangents,
+    _frames,
     hessian_flux,
     normal_derivative,
+    normal_tangential,
     spectral_tangential_derivative,
     trace,
 )
@@ -134,28 +133,25 @@ class _BoundaryData:
 
     def __init__(self, field):
         mesh = field.mesh
-        self.mesh = mesh
-        self.trace = field.trace_values()
-        self.ubar = float(self.trace.max())
-        self.f = self.ubar - self.trace                      # (ubar - u) on the curve
-        self.nu = boundary_normals(mesh)
-        self.tau = boundary_tangents(mesh)
+        frames = _frames(mesh)
+        tr = field.trace_values()
+        self.ubar = float(tr.max())
+        self.f = self.ubar - tr                              # (ubar - u) on the curve
         self.u_nu = normal_derivative(field).values
         if field.analytic_gradient is not None:
             g = field.analytic_gradient(mesh.nodes[mesh.boundary_idx])
-            self.u_tau = np.einsum("ij,ij->i", g, self.tau)
+            _, self.u_tau = normal_tangential(mesh, g)
         else:
             self.u_tau = spectral_tangential_derivative(
-                BoundaryFunction(mesh, self.trace)
+                BoundaryFunction(mesh, tr)
             ).values
         self.grad_sq = self.u_nu**2 + self.u_tau**2
-        self.kappa = boundary_curvatures(mesh)
-        self.weights = BoundaryFunction(mesh, self.trace).weights
-        self.points = mesh.nodes[mesh.boundary_idx]
+        self.kappa = frames.kappa
+        self.weights = frames.weights
         # <H grad u, nu> with the decomposition-consistent gradient vector
-        gvec = self.u_nu[:, None] * self.nu + self.u_tau[:, None] * self.tau
+        gvec = self.u_nu[:, None] * frames.nu + self.u_tau[:, None] * frames.tau
         self.hess_flux = hessian_flux(
-            field.recovered.hessian[mesh.boundary_idx], gvec, self.nu
+            field.recovered.hessian[mesh.boundary_idx], gvec, frames.nu
         )
 
     def integrate(self, values):
@@ -165,8 +161,7 @@ class _BoundaryData:
 def paraboloid_boundary(mesh, z):
     """Analytic q_nu and q_tau for q = |x - z|^2 / 2 on the boundary."""
     rel = mesh.nodes[mesh.boundary_idx] - np.asarray(z, dtype=float)
-    return (np.einsum("ij,ij->i", rel, boundary_normals(mesh)),
-            np.einsum("ij,ij->i", rel, boundary_tangents(mesh)))
+    return normal_tangential(mesh, rel)
 
 
 def flux_constant(field):

@@ -20,6 +20,7 @@ patch recovery of second derivatives reads its patches from it and fits
 every node in one batched least-squares solve per block of nodes.
 """
 
+import functools
 import math
 import os
 
@@ -104,6 +105,18 @@ _EDGE_SHAPE = lambda s: np.stack(
 _EDGE_DSHAPE = lambda s: np.stack([4 * s - 3, 4 * s - 1, 4 - 8 * s], axis=1)
 
 
+def _memo(fn):
+    """Store fn(obj, *args) in obj._cache under (fn, args): each quantity
+    derived from a mesh or a field is computed once, on first use."""
+    @functools.wraps(fn)
+    def cached(obj, *args):
+        key = (fn, args)
+        if key not in obj._cache:
+            obj._cache[key] = fn(obj, *args)
+        return obj._cache[key]
+    return cached
+
+
 def _inverse_jacobian(J):
     """(detJ, inv) of reference-to-physical Jacobians J[..., d, k] = dx_k/dxi_d.
 
@@ -144,41 +157,36 @@ class Mesh:
         self.boundary_mask[boundary_idx] = True
         self._cache = {}
 
-    # cached element operators per quadrature degree
+    @_memo
     def element_ops(self, degree):
-        key = ("ops", degree)
-        if key not in self._cache:
-            bary, w = triangle_rule(degree)
-            ref = bary[:, 1:]  # (xi, eta) = (lambda2, lambda3)
-            N = p2_shape(ref)
-            dN = p2_dshape(ref)
-            coords = self.nodes[self.triangles]            # (T,6,2)
-            J = np.swapaxes(dN, 1, 2) @ coords[:, None]    # (T,Q,2,2)
-            detJ, inv = _inverse_jacobian(J)
-            self._cache[key] = {
-                "w": w, "N": N, "detJ": detJ, "grad": dN @ inv, "qp": N @ coords
-            }
-        return self._cache[key]
+        """Element operators of the triangle rule of the given degree."""
+        bary, w = triangle_rule(degree)
+        ref = bary[:, 1:]  # (xi, eta) = (lambda2, lambda3)
+        N = p2_shape(ref)
+        dN = p2_dshape(ref)
+        coords = self.nodes[self.triangles]            # (T,6,2)
+        J = np.swapaxes(dN, 1, 2) @ coords[:, None]    # (T,Q,2,2)
+        detJ, inv = _inverse_jacobian(J)
+        return {"w": w, "N": N, "detJ": detJ, "grad": dN @ inv, "qp": N @ coords}
 
     @property
+    @_memo
     def node_elements(self):
         """CSR node -> element incidence (n_nodes, n_elements).
 
         Row n lists the elements incident to node n in ascending order:
         ``node_elements[n].indices``.
         """
-        if "node_elems" not in self._cache:
-            flat = self.triangles.ravel()
-            # a stable sort of the element-major node list keeps each row's
-            # elements ascending
-            elems = np.argsort(flat, kind="stable") // 6
-            indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.cumsum(np.bincount(flat, minlength=self.n_nodes), out=indptr[1:])
-            self._cache["node_elems"] = sp.csr_matrix(
-                (np.ones(len(elems), dtype=bool), elems, indptr),
-                shape=(self.n_nodes, len(self.triangles)),
-            )
-        return self._cache["node_elems"]
+        flat = self.triangles.ravel()
+        # a stable sort of the element-major node list keeps each row's
+        # elements ascending
+        elems = np.argsort(flat, kind="stable") // 6
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=self.n_nodes), out=indptr[1:])
+        return sp.csr_matrix(
+            (np.ones(len(elems), dtype=bool), elems, indptr),
+            shape=(self.n_nodes, len(self.triangles)),
+        )
 
     def qualities(self):
         """2 * inradius / circumradius per element (straight version)."""
@@ -378,11 +386,9 @@ def generate_mesh(domain, h_target, dof_cap=None):
 
 # -- assembly ---------------------------------------------------------------
 
+@_memo
 def assemble_stiffness(mesh):
-    if "K" not in mesh._cache:
-        ops = mesh.element_ops(ASSEMBLY_DEGREE)
-        mesh._cache["K"] = _scatter(mesh, _element_stiffness(ops))
-    return mesh._cache["K"]
+    return _scatter(mesh, _element_stiffness(mesh.element_ops(ASSEMBLY_DEGREE)))
 
 
 def _element_stiffness(ops):
@@ -396,14 +402,11 @@ def _element_stiffness(ops):
     return Ke
 
 
+@_memo
 def assemble_mass(mesh):
-    if "M" not in mesh._cache:
-        ops = mesh.element_ops(ASSEMBLY_DEGREE)
-        Me = 0.5 * np.einsum(
-            "q,tq,qi,qj->tij", ops["w"], ops["detJ"], ops["N"], ops["N"]
-        )
-        mesh._cache["M"] = _scatter(mesh, Me)
-    return mesh._cache["M"]
+    ops = mesh.element_ops(ASSEMBLY_DEGREE)
+    Me = 0.5 * np.einsum("q,tq,qi,qj->tij", ops["w"], ops["detJ"], ops["N"], ops["N"])
+    return _scatter(mesh, Me)
 
 
 def lumped_mass(mesh):
@@ -421,20 +424,19 @@ def _scatter(mesh, local):
     return A.tocsr()
 
 
-def boundary_load_vector(mesh, n_gauss=6):
+@_memo
+def boundary_load_vector(mesh):
     """Vector g_i = integral of phi_i over the curved boundary edges."""
-    if "bload" not in mesh._cache:
-        s, w = gauss_legendre_01(n_gauss)
-        N = _EDGE_SHAPE(s)            # (Q,3)
-        dN = _EDGE_DSHAPE(s)          # (Q,3)
-        P = mesh.nodes[mesh.boundary_edges]     # (E,3,2)
-        dX = np.einsum("qn,enk->eqk", dN, P)
-        speed = np.linalg.norm(dX, axis=2)      # (E,Q)
-        loc = np.einsum("q,eq,qn->en", w, speed, N)
-        g = np.zeros(mesh.n_nodes)
-        np.add.at(g, mesh.boundary_edges.ravel(), loc.ravel())
-        mesh._cache["bload"] = g
-    return mesh._cache["bload"]
+    s, w = gauss_legendre_01(6)
+    N = _EDGE_SHAPE(s)            # (Q,3)
+    dN = _EDGE_DSHAPE(s)          # (Q,3)
+    P = mesh.nodes[mesh.boundary_edges]     # (E,3,2)
+    dX = np.einsum("qn,enk->eqk", dN, P)
+    speed = np.linalg.norm(dX, axis=2)      # (E,Q)
+    loc = np.einsum("q,eq,qn->en", w, speed, N)
+    g = np.zeros(mesh.n_nodes)
+    np.add.at(g, mesh.boundary_edges.ravel(), loc.ravel())
+    return g
 
 
 # -- fields -----------------------------------------------------------------
@@ -462,7 +464,12 @@ class FemField:
         return self.coeffs[self.mesh.boundary_idx]
 
     def shifted(self, c):
-        return FemField(self.mesh, self.coeffs + c, self.kind)
+        """The field plus c, keeping the discrete flux data of a Neumann solve."""
+        out = FemField(self.mesh, self.coeffs + c, self.kind)
+        for name in ("R_disc", "area_h", "perimeter_h"):
+            if hasattr(self, name):
+                setattr(out, name, getattr(self, name))
+        return out
 
     def gradient_at_quad(self, degree=VOLUME_DEGREE):
         ops = self.mesh.element_ops(degree)
@@ -472,11 +479,10 @@ class FemField:
         return nodal_to_quad(self.mesh, self.coeffs, degree)
 
     @property
+    @_memo
     def recovered(self):
         """Patch-recovered nodal gradient and Hessian (superconvergent)."""
-        if "rec" not in self._cache:
-            self._cache["rec"] = _recover(self)
-        return self._cache["rec"]
+        return _recover(self)
 
 
 class RecoveredDerivatives:
@@ -621,6 +627,13 @@ def _solve_interior(mesh, u, b, kind):
     return FemField(mesh, u, kind=kind)
 
 
+@_memo
+def _zero_mean_factor(mesh):
+    """LU of K with the centre grounded, and the lumped-mass mean weights."""
+    m = lumped_mass(mesh)
+    return _factor(mesh, slice(1, None))[1], m / m.sum()
+
+
 def solve_zero_mean(mesh, b):
     """Solve K u = b, m^T u = 0 (m the lumped mass) for compatible b, sum(b) = 0.
 
@@ -628,10 +641,7 @@ def solve_zero_mean(mesh, b):
     grounded and u shifted to zero mean, which leaves K u unchanged.  The
     factor is cached, shared by the Neumann solve and both eigenproblems.
     """
-    if "zero_mean_lu" not in mesh._cache:
-        m = lumped_mass(mesh)
-        mesh._cache["zero_mean_lu"] = (_factor(mesh, slice(1, None))[1], m / m.sum())
-    lu, weights = mesh._cache["zero_mean_lu"]
+    lu, weights = _zero_mean_factor(mesh)
     u = np.zeros(mesh.n_nodes)
     u[1:] = lu.solve(b[1:])
     return u - weights @ u

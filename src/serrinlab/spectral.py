@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryFunction
+from .boundary import BoundaryFunction, _frames, surface_integral
 from .errors import ConvergenceFailure
-from .identities import audit_neumann, flux_constant, paraboloid_boundary
+from .identities import audit_neumann, flux_constant, paraboloid_boundary, paraboloid_field
 from .meshfem import (
     FemField,
+    _memo,
     assemble_mass,
     assemble_stiffness,
     nodal_to_quad,
@@ -77,13 +78,11 @@ def neumann_eigenvalue_2(mesh) -> EigenResult:
     return EigenResult("neumann", value, FemField(mesh, x), res, it)
 
 
+@_memo
 def _boundary_mass_diagonal(mesh):
-    if "bmass_diag" not in mesh._cache:
-        w = BoundaryFunction(mesh, np.zeros(len(mesh.boundary_idx))).weights
-        diag = np.zeros(mesh.n_nodes)
-        diag[mesh.boundary_idx] = w
-        mesh._cache["bmass_diag"] = diag
-    return mesh._cache["bmass_diag"]
+    diag = np.zeros(mesh.n_nodes)
+    diag[mesh.boundary_idx] = _frames(mesh).weights
+    return diag
 
 
 def steklov_eigenvalue_2(mesh) -> EigenResult:
@@ -93,13 +92,10 @@ def steklov_eigenvalue_2(mesh) -> EigenResult:
     return EigenResult("steklov", value, FemField(mesh, x), res, it)
 
 
+@_memo
 def eigenvalues(mesh):
     """Cached (nu2, sigma2) pair for a mesh."""
-    if "eigpair" not in mesh._cache:
-        nu = neumann_eigenvalue_2(mesh)
-        sig = steklov_eigenvalue_2(mesh)
-        mesh._cache["eigpair"] = (nu, sig)
-    return mesh._cache["eigpair"]
+    return neumann_eigenvalue_2(mesh), steklov_eigenvalue_2(mesh)
 
 
 @dataclass
@@ -126,9 +122,7 @@ def check_l2_oscillation_bound(u_field, z, a=0.0) -> OscillationL2Report:
     """
     audit_neumann(u_field)
     mesh = u_field.mesh
-    z = np.asarray(z, dtype=float)
-    rel = mesh.nodes - z
-    h = 0.5 * (rel**2).sum(1) + a - u_field.coeffs
+    h = paraboloid_field(mesh, z, a).coeffs - u_field.coeffs
     area = volume_integral(mesh, lambda p: np.ones(len(p)))
     h_mean = volume_integral(mesh, h) / area
     dev = h - h_mean
@@ -136,9 +130,9 @@ def check_l2_oscillation_bound(u_field, z, a=0.0) -> OscillationL2Report:
 
     q_nu, _ = paraboloid_boundary(mesh, z)
     bf = BoundaryFunction(mesh, (flux_constant(u_field) - q_nu) ** 2)
-    flux_dev = float(np.sqrt(np.dot(bf.values, bf.weights)))
+    flux_dev = float(np.sqrt(surface_integral(bf)))
     h_bnd = BoundaryFunction(mesh, h[mesh.boundary_idx])
-    h_mean_boundary = float(np.dot(h_bnd.values, h_bnd.weights) / h_bnd.weights.sum())
+    h_mean_boundary = surface_integral(h_bnd) / h_bnd.total_length
 
     nu_res, sig_res = eigenvalues(mesh)
     rhs = 2.0 * flux_dev / np.sqrt(nu_res.value * sig_res.value)

@@ -14,12 +14,18 @@ levels.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .boundary import holder_seminorm, normal_derivative, tangential_gradient, trace
-from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidVariant, SerrinLabError
+from .boundary import (
+    holder_seminorm,
+    normal_derivative,
+    surface_integral,
+    tangential_gradient,
+    trace,
+)
+from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidSpec, InvalidVariant
 from .geometry import build_domain, distances_to_boundary, radii_about
 from .identities import (
     audit_neumann,
@@ -30,10 +36,12 @@ from .identities import (
     eval_neumann_identity,
     flux_constant,
     hess_h_sq_quad,
+    paraboloid_field,
 )
 from .meshfem import (
     _P2_D2,
     FemField,
+    _memo,
     eval_gradient,
     generate_mesh,
     locate_point,
@@ -50,6 +58,7 @@ DEFAULT_ALPHA = 0.5
 RIGID_GAP_FLOOR = 1e-10
 NOISE_FLOOR = 1e-8   # identity terms below this are rigid-case noise
 REL_FLOOR = 1e-6     # relative residuals below this are converged noise
+ARGMIN_TIE_TOL = 1e-11
 
 
 # -- the stability profile ----------------------------------------------------
@@ -84,6 +93,7 @@ class ArgminResult:
     element: int
     ref: np.ndarray
     n_tied: int
+    delta: float     # distance of z to the boundary
 
 
 def _element_min(coeffs6):
@@ -115,13 +125,14 @@ def _element_min(coeffs6):
     return vals[k], cands[k]
 
 
-def argmin_point(u_field, tie_tol=1e-11) -> ArgminResult:
-    """Minimizer of a quadratic-element field.
+@_memo
+def argmin_point(u_field) -> ArgminResult:
+    """Minimizer of a quadratic-element field, computed once per field.
 
     Best node, refined by exact per-element quadratic minimization over the
-    elements incident to it.  Refined candidates tied within tie_tol are
-    averaged; on symmetric meshes this pins the degenerate flat minimum of
-    the rigid case to the symmetry center.
+    elements incident to it.  Refined candidates tied within ARGMIN_TIE_TOL
+    are averaged; on symmetric meshes this pins the degenerate flat minimum
+    of the rigid case to the symmetry center.
     """
     mesh = u_field.mesh
     best_node = int(np.argmin(u_field.coeffs))
@@ -132,7 +143,7 @@ def argmin_point(u_field, tie_tol=1e-11) -> ArgminResult:
         phys = p2_shape(ref[None, :])[0] @ mesh.nodes[mesh.triangles[e]]
         cands.append((val, phys, e, ref))
     vmin = min(c[0] for c in cands)
-    tied = [c for c in cands if c[0] <= vmin + tie_tol * (1.0 + abs(vmin))]
+    tied = [c for c in cands if c[0] <= vmin + ARGMIN_TIE_TOL * (1.0 + abs(vmin))]
     z = np.mean([c[1] for c in tied], axis=0)
     best = min(tied, key=lambda c: c[0])
     dist = float(distances_to_boundary(mesh.domain, z[None, :])[0])
@@ -142,7 +153,7 @@ def argmin_point(u_field, tie_tol=1e-11) -> ArgminResult:
             "inconsistent with a positive constant flux"
         )
     return ArgminResult(z=z, value=vmin, element=best[2], ref=best[3],
-                        n_tied=len(tied))
+                        n_tied=len(tied), delta=dist)
 
 
 # -- deviation measures ------------------------------------------------------------
@@ -157,13 +168,13 @@ class DeviationSet:
     alpha: float
 
     def as_dict(self):
-        return {
-            "osc_gamma_u": self.osc_gamma_u,
-            "grad_inf": self.grad_inf,
-            "grad_l2": self.grad_l2,
-            "tangential_norm": self.tangential_norm,
-            "c1alpha_norm": self.c1alpha_norm,
-        }
+        """The five measures by name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "alpha"}
+
+    def kinds(self):
+        """The seven deviation kinds by name: the measures, uniform and weak."""
+        return {**self.as_dict(), "uniform": self.uniform(), "weak": self.weak()}
 
     def uniform(self):
         return self.osc_gamma_u + self.grad_inf
@@ -181,8 +192,8 @@ def deviations(u_field, alpha=DEFAULT_ALPHA) -> DeviationSet:
     f = ubar - tr.values
     osc = float(f.max())
     grad_inf = float(np.abs(gt.values).max())
-    grad_l2 = float(np.sqrt(np.dot(gt.values**2, gt.weights)))
-    f_l2 = float(np.sqrt(np.dot(f**2, tr.weights)))
+    grad_l2 = math.sqrt(surface_integral(gt, gt.values**2))
+    f_l2 = math.sqrt(surface_integral(tr, f**2))
     tangential_norm = math.hypot(f_l2, grad_l2)
     min_sep = u_field.mesh.h_max
     hol = holder_seminorm(-gt.values, gt.arclengths, gt.total_length, alpha, min_sep)
@@ -218,8 +229,7 @@ def geometric_bounds_check(u_field) -> GeometricBoundsReport:
     m = mesh.domain.measures
     quad_slack = float((f - 0.5 * delta**2).min())
     lin_slack = float((f - 0.5 * m.r_i * delta).min())
-    res = argmin_point(u_field)
-    delta_z = float(distances_to_boundary(mesh.domain, res.z[None, :])[0])
+    delta_z = argmin_point(u_field).delta
     grad_sup = float(np.linalg.norm(u_field.recovered.gradient, axis=1).max())
     osc = float(ubar - u_field.trace_values().min())
     remark_rhs = (m.r_i**2 - 2.0 * osc) / (2.0 * grad_sup)
@@ -233,20 +243,15 @@ def geometric_bounds_check(u_field) -> GeometricBoundsReport:
     )
 
 
+@_memo
 def _node_distances(mesh):
-    if "node_delta" not in mesh._cache:
-        mesh._cache["node_delta"] = distances_to_boundary(mesh.domain, mesh.nodes)
-    return mesh._cache["node_delta"]
+    return distances_to_boundary(mesh.domain, mesh.nodes)
 
 
+@_memo
 def _quad_distances(mesh):
-    if "quad_delta" not in mesh._cache:
-        qp = quad_points(mesh)
-        T, Q, _ = qp.shape
-        mesh._cache["quad_delta"] = distances_to_boundary(
-            mesh.domain, qp.reshape(-1, 2)
-        ).reshape(T, Q)
-    return mesh._cache["quad_delta"]
+    qp = quad_points(mesh)
+    return distances_to_boundary(mesh.domain, qp.reshape(-1, 2)).reshape(qp.shape[:2])
 
 
 # -- oscillation bound diagnostics ------------------------------------------------------
@@ -286,8 +291,7 @@ def oscillation_bound_check(u_field, z=None, alpha=DEFAULT_ALPHA,
         )
 
     tr = trace(u_field)
-    bpts = mesh.nodes[mesh.boundary_idx]
-    h_trace = 0.5 * ((bpts - z) ** 2).sum(1) - tr.values
+    h_trace = paraboloid_field(mesh, z).trace_values() - tr.values
     osc_h = float(h_trace.max() - h_trace.min())
 
     hess_sq = hess_h_sq_quad(u_field)
@@ -378,26 +382,16 @@ def sweep_member(mode, epsilon, rho0, h_target, alpha=DEFAULT_ALPHA):
                 "rho_gap": rho_e - rho_i,
                 "dev": dev,
                 "z": res.z,
-                "delta_z": float(
-                    distances_to_boundary(domain, res.z[None, :])[0]
-                ),
+                "delta_z": res.delta,
                 "h": u.mesh.h_max,
                 "sigma": min(1.0, domain.measures.r_i**2 / 4.0),
             }
         )
     coarse, fine = per_level
     rho_gap = _richardson(fine["rho_gap"], coarse["rho_gap"])
-    dev_kw = {}
-    for key in ("osc_gamma_u", "grad_inf", "grad_l2", "tangential_norm",
-                "c1alpha_norm"):
-        dev_kw[key] = _richardson(getattr(fine["dev"], key),
-                                  getattr(coarse["dev"], key))
-    dev = DeviationSet(alpha=alpha, **dev_kw)
-    psi_values = {
-        k: (psi(v, 2) if v > 0 else 0.0) for k, v in dev.as_dict().items()
-    }
-    for name, v in (("uniform", dev.uniform()), ("weak", dev.weak())):
-        psi_values[name] = psi(v, 2) if v > 0 else 0.0
+    fd, cd = fine["dev"].as_dict(), coarse["dev"].as_dict()
+    dev = DeviationSet(alpha=alpha, **{k: _richardson(fd[k], cd[k]) for k in fd})
+    psi_values = {k: (psi(v, 2) if v > 0 else 0.0) for k, v in dev.kinds().items()}
     if rho_gap <= RIGID_GAP_FLOOR:
         flags.append("rigid")
     return StabilityRecord(
@@ -438,19 +432,11 @@ def stability_sweep(mode, amplitudes, rho0=1.0, h_target=0.05,
     usable = [r for r in records if "rigid" not in r.flags]
     dropped = [r.epsilon for r in records if "rigid" in r.flags]
     fits = {}
-    kinds = {
-        "osc_gamma_u": lambda r: r.deviations.osc_gamma_u,
-        "grad_inf": lambda r: r.deviations.grad_inf,
-        "grad_l2": lambda r: r.deviations.grad_l2,
-        "tangential_norm": lambda r: r.deviations.tangential_norm,
-        "c1alpha_norm": lambda r: r.deviations.c1alpha_norm,
-        "uniform": lambda r: r.deviations.uniform(),
-        "weak": lambda r: r.deviations.weak(),
-    }
     if len(usable) >= 4:
         gaps = [r.rho_gap for r in usable]
-        for kind, get in kinds.items():
-            slope, intercept, r2 = loglog_fit([get(r) for r in usable], gaps)
+        kinds = [r.deviations.kinds() for r in usable]
+        for kind in kinds[0]:
+            slope, intercept, r2 = loglog_fit([k[kind] for k in kinds], gaps)
             fits[kind] = ExponentFit(kind, slope, intercept, r2, len(usable))
     c_fit = max(
         (r.rho_gap / psi(r.deviations.uniform(), 2) for r in usable),
@@ -476,7 +462,7 @@ def identity_reports(mesh, identity_id, z=None):
         u = solve_torsion_neumann(mesh)
         return [eval_neumann_identity(u, argmin_point(u).z if z is None else z)]
     if identity_id not in ("classical_1_2", "mother_3_2", "mother_3_3"):
-        raise SerrinLabError(f"unknown identity {identity_id!r}")
+        raise InvalidSpec(f"unknown identity {identity_id!r}")
     u = solve_torsion_dirichlet(mesh)
     if z is None:
         z = mesh.domain.center
@@ -494,8 +480,8 @@ def convergence_study(domain, identity_id, h_list, dof_cap=None):
     oracle domains), and None otherwise, in which case the order is fitted
     and must be positive.
     """
-    if len(h_list) < 3:
-        raise SerrinLabError("need at least 3 mesh levels")
+    if len(set(h_list)) < 3:
+        raise InvalidSpec(f"need at least 3 distinct mesh levels, got {h_list}")
     rows = []
     for h in h_list:
         reports = identity_reports(generate_mesh(domain, h, dof_cap=dof_cap), identity_id)
@@ -546,7 +532,7 @@ def strong_deviation_pipeline(u_field, alpha=DEFAULT_ALPHA) -> StrongDeviationRe
     lap_res = audit_torsion(f)
     f_nu = normal_derivative(f)
     dev = flux_constant(u_field) - f_nu.values
-    flux_l2 = float(np.sqrt(np.dot(dev**2, f_nu.weights)))
+    flux_l2 = math.sqrt(surface_integral(f_nu, dev**2))
     hol = holder_seminorm(dev, f_nu.arclengths, f_nu.total_length, alpha,
                           mesh.h_max)
     flux_c0 = float(np.abs(dev).max()) + hol

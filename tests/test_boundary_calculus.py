@@ -2,21 +2,25 @@ import numpy as np
 import pytest
 
 from conftest import fit_order
+from serrinlab import boundary
 from serrinlab.boundary import (
     BoundaryFunction,
     boundary_curvatures,
     boundary_normals,
+    boundary_tangents,
     check_integration_by_parts,
     holder_seminorm,
     laplace_beltrami,
     lemma21_residual,
     normal_derivative,
+    normal_tangential,
     spectral_tangential_derivative,
     surface_integral,
     tangential_gradient,
     trace,
 )
 from serrinlab.errors import NotDirichlet, NotNeumann
+from serrinlab.identities import eval_neumann_identity
 from serrinlab.meshfem import FemField, generate_mesh, solve_torsion_neumann
 
 
@@ -247,3 +251,32 @@ def test_boundary_function_csv_export(tmp_path, disk_mesh):
     assert len(lines) == 1 + len(disk_mesh.boundary_idx)
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0 and abs(first[2] - 1.0) < 1e-12
+
+
+# -- boundary record and normal/tangential split -----------------------------------------
+
+
+def test_boundary_record_built_once_per_mesh(pdisk, monkeypatch):
+    calls = []
+    original = boundary.fft_antiderivative
+
+    def counting(values):
+        calls.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(boundary, "fft_antiderivative", counting)
+    u = solve_torsion_neumann(generate_mesh(pdisk, 0.2))
+    trace(u)
+    normal_derivative(u)
+    tangential_gradient(u)
+    eval_neumann_identity(u, (0.0, 0.0))
+    assert calls == [len(u.mesh.boundary_idx)]
+
+
+def test_normal_tangential_reconstructs_vectors(ellipse_mesh):
+    rng = np.random.default_rng(3)
+    v = rng.uniform(-1.0, 1.0, (len(ellipse_mesh.boundary_idx), 2))
+    v_nu, v_tau = normal_tangential(ellipse_mesh, v)
+    back = (v_nu[:, None] * boundary_normals(ellipse_mesh)
+            + v_tau[:, None] * boundary_tangents(ellipse_mesh))
+    assert np.abs(back - v).max() <= 1e-15

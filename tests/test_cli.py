@@ -196,6 +196,11 @@ def test_missing_domain_file_is_operational_error(tmp_path):
         (None, ["pointwise-identity", "--degree", "1"]),
         ({"rho0": 1.0, "modes": [[2.5, 0.05, 0]]}, ["solve", "--h-target", "0.1"]),
         (None, ["strong-deviation"]),
+        (None, ["sweep", "--alpha", "nan", "--h-target", "0.3"]),
+        (None, ["sweep", "--alpha", "-1", "--h-target", "0.3"]),
+        (None, ["sweep", "--alpha", "2", "--h-target", "0.3"]),
+        ({"rho0": 1.0, "modes": []},
+         ["convergence", "--identity", "general_1_9", "--h-list", "0.2,0.2,0.2"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):

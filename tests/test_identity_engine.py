@@ -152,7 +152,7 @@ def test_neumann_rejects_dirichlet(ellipse_dirichlet):
 def test_neumann_gauge_shift(pdisk_neumann):
     rep = eval_neumann_identity(pdisk_neumann, (0.0, 0.0))
     shifted = pdisk_neumann.shifted(17.3)
-    shifted.R_disc = pdisk_neumann.R_disc
+    assert shifted.R_disc == pdisk_neumann.R_disc
     rep2 = eval_neumann_identity(shifted, (0.0, 0.0))
     assert abs(rep.abs_residual - rep2.abs_residual) <= 1e-12
     for k in rep.terms:

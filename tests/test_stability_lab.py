@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from serrinlab.errors import GradientNotZeroAtZ, InvalidVariant
-from serrinlab.geometry import build_domain, radii_about
+from serrinlab.geometry import build_domain, distances_to_boundary, radii_about
 from serrinlab.meshfem import generate_mesh, solve_torsion_neumann
 from serrinlab.stability import (
     argmin_point,
@@ -54,6 +54,13 @@ def test_argmin_disk(disk_neumann):
 def test_argmin_perturbed_symmetric(pdisk_neumann):
     res = argmin_point(pdisk_neumann)
     assert np.linalg.norm(res.z) < 1e-3
+
+
+def test_argmin_once_per_field_with_boundary_distance(pdisk_neumann):
+    res = argmin_point(pdisk_neumann)
+    assert argmin_point(pdisk_neumann) is res
+    domain = pdisk_neumann.mesh.domain
+    assert res.delta == distances_to_boundary(domain, res.z[None])[0]
 
 
 def test_argmin_translated_disk():
