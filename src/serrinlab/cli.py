@@ -382,8 +382,15 @@ def cmd_convergence(args):
 
 # -- parser -----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an operational error (exit 1), not argparse's 2."""
+
+    def error(self, message):
+        raise InvalidSpec(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="serrinlab",
         description="Torsion-problem identity verification and stability lab",
     )
@@ -391,12 +398,13 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, domain=True):
+    def common(sp, domain=True, alpha=False):
         if domain:
             sp.add_argument("--domain", required=True, help="domain spec JSON path")
         sp.add_argument("--h-target", dest="h_target", type=float, default=0.05)
         sp.add_argument("--dof-cap", dest="dof_cap", type=int, default=None)
-        sp.add_argument("--alpha", type=float, default=0.5)
+        if alpha:
+            sp.add_argument("--alpha", type=float, default=0.5)
 
     sp = sub.add_parser("solve", help="solve one boundary value problem")
     common(sp)
@@ -428,7 +436,7 @@ def build_parser():
     sp.set_defaults(func=cmd_spectral)
 
     sp = sub.add_parser("sweep", help="perturbation-family stability sweep")
-    common(sp, domain=False)
+    common(sp, domain=False, alpha=True)
     sp.add_argument("--mode", type=int, default=2)
     sp.add_argument("--amplitudes", default="0.0125,0.025,0.05,0.1")
     sp.add_argument("--workers", type=int, default=1)
@@ -438,11 +446,11 @@ def build_parser():
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("check-bounds", help="pointwise and spectral bounds")
-    common(sp)
+    common(sp, alpha=True)
     sp.set_defaults(func=cmd_check_bounds)
 
     sp = sub.add_parser("strong-deviation", help="harmonic-split pipeline")
-    common(sp, domain=False)
+    common(sp, domain=False, alpha=True)
     sp.add_argument("--domain", help="domain spec JSON (single-domain mode)")
     sp.add_argument("--mode", type=int, default=2)
     sp.add_argument("--amplitudes", default="")
@@ -458,14 +466,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SerrinLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
-    except FileNotFoundError as exc:
+    except (SerrinLabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

@@ -10,7 +10,10 @@ possible value at once; rational spot evaluations are reported alongside.
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
+from math import comb
+from operator import add
 
 from .errors import InvalidSpec, NotTorsionPolynomial
 
@@ -37,40 +40,32 @@ class Polynomial:
                     self.terms[tuple(mono)] = c
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
+    def _adopt(cls, nvars, terms):
+        """Wrap terms that already map tuples to nonzero Fractions, uncopied."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {tuple([0] * nvars): Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def monomial(cls, nvars, var, power=1, coeff=1):
-        mono = [0] * nvars
-        mono[var] = power
-        return cls(nvars, {tuple(mono): Fraction(coeff)})
+    def _coerce(self, other):
+        if isinstance(other, Polynomial):
+            return other
+        return Polynomial.constant(self.nvars, other)
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return Polynomial(self.nvars, out)
+        return _sum(self.nvars, (self, self._coerce(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._adopt(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -78,21 +73,15 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = Fraction(other)
-            if c == 0:
-                return Polynomial.zero(self.nvars)
-            return Polynomial(
-                self.nvars, {m: c * v for m, v in self.terms.items()}
-            )
+            terms = {m: c * v for m, v in self.terms.items()} if c else {}
+            return Polynomial._adopt(self.nvars, terms)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return Polynomial(self.nvars, out)
+                mono = tuple(map(add, m1, m2))
+                c = c1 * c2
+                out[mono] = out[mono] + c if mono in out else c
+        return _nonzero(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -100,44 +89,26 @@ class Polynomial:
         out = {}
         for mono, c in self.terms.items():
             p = mono[var]
-            if p == 0:
-                continue
-            m = list(mono)
-            m[var] = p - 1
-            out[tuple(m)] = c * p
-        return Polynomial(self.nvars, out)
+            if p:
+                out[mono[:var] + (p - 1,) + mono[var + 1:]] = c * p
+        return Polynomial._adopt(self.nvars, out)
 
     def gradient(self, ndim):
         return [self.diff(i) for i in range(ndim)]
 
     def laplacian(self, ndim):
-        out = Polynomial.zero(self.nvars)
-        for i in range(ndim):
-            out = out + self.diff(i).diff(i)
-        return out
-
-    def hessian_frobenius_sq(self, ndim):
-        out = Polynomial.zero(self.nvars)
-        for i in range(ndim):
-            for j in range(ndim):
-                d = self.diff(i).diff(j)
-                out = out + d * d
-        return out
+        return divergence(self.gradient(ndim), ndim)
 
     def evaluate(self, point):
-        point = [Fraction(p) for p in point]
+        top = max(map(max, self.terms), default=0)
+        powers = [[Fraction(x) ** k for k in range(top + 1)] for x in point]
         total = Fraction(0)
         for mono, c in self.terms.items():
-            val = c
-            for x, p in zip(point, mono):
+            for pw, p in zip(powers, mono):
                 if p:
-                    val *= x**p
-            total += val
+                    c *= pw[p]
+            total += c
         return total
-
-    @property
-    def degree(self):
-        return max((sum(m) for m in self.terms), default=0)
 
     def is_zero(self):
         return not self.terms
@@ -147,16 +118,12 @@ class Polynomial:
             return self.nvars == other.nvars and self.terms == other.terms
         return self.is_zero() if other == 0 else NotImplemented
 
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
     def pad(self, nvars):
         """Embed into a larger variable count (extra exponents zero)."""
         if nvars == self.nvars:
             return self
-        return Polynomial(
-            nvars, {m + (0,) * (nvars - self.nvars): c for m, c in self.terms.items()}
-        )
+        tail = (0,) * (nvars - self.nvars)
+        return Polynomial._adopt(nvars, {m + tail: c for m, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -170,18 +137,28 @@ class Polynomial:
         return " + ".join(bits)
 
 
+def _nonzero(nvars, out):
+    """Polynomial of the accumulated terms, with cancelled terms dropped."""
+    return Polynomial._adopt(nvars, {m: c for m, c in out.items() if c})
+
+
+def _sum(nvars, polys):
+    out = {}
+    for p in polys:
+        for mono, c in p.terms.items():
+            out[mono] = out[mono] + c if mono in out else c
+    return _nonzero(nvars, out)
+
+
 def divergence(field_components, ndim):
-    out = Polynomial.zero(field_components[0].nvars)
-    for i, f in enumerate(field_components[:ndim]):
-        out = out + f.diff(i)
-    return out
+    return _sum(
+        field_components[0].nvars,
+        (f.diff(i) for i, f in enumerate(field_components[:ndim])),
+    )
 
 
 def dot(a, b):
-    out = Polynomial.zero(a[0].nvars)
-    for f, g in zip(a, b):
-        out = out + f * g
-    return out
+    return _sum(a[0].nvars, (f * g for f, g in zip(a, b)))
 
 
 # -- harmonic bases ----------------------------------------------------------------
@@ -196,56 +173,37 @@ def _monomials(ndim, degree):
     return out
 
 
+@cache
 def harmonic_basis(ndim, degree):
     """Basis of homogeneous harmonic polynomials of the given degree.
 
     In the plane these are the real and imaginary parts of (x + i y)^d; in
     higher dimension the exact rational kernel of the Laplacian acting on
-    homogeneous monomials.
+    homogeneous monomials.  Computed once per (ndim, degree).
     """
     if degree == 0:
-        return [Polynomial.constant(ndim, 1)]
+        return (Polynomial.constant(ndim, 1),)
     if ndim == 2:
         re, im = {}, {}
         for k in range(degree + 1):
-            c = Fraction(_binom(degree, k))
-            mono = (degree - k, k)
-            if k % 4 == 0:
-                re[mono] = c
-            elif k % 4 == 1:
-                im[mono] = c
-            elif k % 4 == 2:
-                re[mono] = -c
-            else:
-                im[mono] = -c
-        return [Polynomial(2, re), Polynomial(2, im)]
+            # C(d, k) x^(d-k) (i y)^k, and i^k runs through 1, i, -1, -i
+            (im if k % 2 else re)[(degree - k, k)] = comb(degree, k) * (-1) ** (k // 2)
+        return (Polynomial(2, re), Polynomial(2, im))
     monos = _monomials(ndim, degree)
     target = _monomials(ndim, degree - 2) if degree >= 2 else []
     if not target:
-        return [Polynomial(ndim, {m: 1}) for m in monos]
+        return tuple(Polynomial(ndim, {m: 1}) for m in monos)
     row_of = {m: i for i, m in enumerate(target)}
-    cols = []
-    for m in monos:
-        col = {}
-        for i in range(ndim):
-            if m[i] >= 2:
-                mm = list(m)
-                mm[i] -= 2
-                r = row_of[tuple(mm)]
-                col[r] = col.get(r, Fraction(0)) + Fraction(m[i] * (m[i] - 1))
-        cols.append(col)
-    kernel = _rational_kernel(cols, len(target))
-    return [
-        Polynomial(ndim, {m: c for m, c in zip(monos, vec) if c != 0})
-        for vec in kernel
+    cols = [
+        {
+            row_of[m[:i] + (m[i] - 2,) + m[i + 1:]]: Fraction(m[i] * (m[i] - 1))
+            for i in range(ndim)
+            if m[i] >= 2
+        }
+        for m in monos
     ]
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    kernel = _rational_kernel(cols, len(target))
+    return tuple(Polynomial(ndim, dict(zip(monos, vec))) for vec in kernel)
 
 
 def _rational_kernel(cols, nrows):
@@ -357,23 +315,29 @@ def check_differential_identity(u, v, ubar=Fraction(1), points=()):
     nv = ndim + 1
     U = u.pad(nv)
     V = v.pad(nv)
-    ub = Polynomial.monomial(nv, ndim)   # the free boundary-maximum symbol
+    ub = Polynomial(nv, {(0,) * ndim + (1,): 1})   # the free boundary-maximum symbol
 
     gu = U.gradient(ndim)
     gv = V.gradient(ndim)
     fu = ub - U                          # (ubar - u)
-    P = HALF * dot(gu, gu) + fu
-    dP = P.laplacian(ndim)
-
-    lhs = fu * dP + dot(gu, gu) - _hess_quadform(V, gu, ndim)
-
+    guu = dot(gu, gu)                    # |grad u|^2
+    half_guu = HALF * guu
+    gvu = dot(gv, gu)                    # <grad v, grad u>
+    P = half_guu + fu
     gP = P.gradient(ndim)
-    flux1 = [
-        P * gu[i] + fu * gP[i] + HALF * dot(gu, gu) * gv[i] - dot(gv, gu) * gu[i]
+
+    # <H v grad u, grad u>, with the rows of H v the gradients of grad v
+    hess_v_gu = dot([dot(row.gradient(ndim), gu) for row in gv], gu)
+    lhs = fu * divergence(gP, ndim) + guu - hess_v_gu
+
+    # the two fluxes above, summed and grouped by their factors gu, gv and fu
+    p_gvu = P - gvu
+    flux = [
+        p_gvu * gu[i] + half_guu * gv[i]
+        + fu * (gP[i] + (ndim - 1) * gu[i] - ndim * gv[i])
         for i in range(ndim)
     ]
-    flux2 = [(ndim - 1) * fu * gu[i] - ndim * fu * gv[i] for i in range(ndim)]
-    rhs = divergence(flux1, ndim) + divergence(flux2, ndim)
+    rhs = divergence(flux, ndim)
 
     residual = lhs - rhs
     worst = None
@@ -387,15 +351,6 @@ def check_differential_identity(u, v, ubar=Fraction(1), points=()):
     return residual, worst
 
 
-def _hess_quadform(V, g, ndim):
-    """<H(V) g, g> expanded symbolically."""
-    out = Polynomial.zero(V.nvars)
-    for i in range(ndim):
-        for j in range(ndim):
-            out = out + V.diff(i).diff(j) * g[i] * g[j]
-    return out
-
-
 def check_pfunction_identity(u):
     """Residual of Laplacian(P) = |H u|^2 - N for P = |grad u|^2/2 - u.
 
@@ -405,24 +360,24 @@ def check_pfunction_identity(u):
     _require_torsion(u, ndim)
     g = u.gradient(ndim)
     P = HALF * dot(g, g) - u
-    return P.laplacian(ndim) - (u.hessian_frobenius_sq(ndim) - ndim)
+    return P.laplacian(ndim) - delta_p(u)
 
 
 def delta_p(u):
     """|H u|^2 - N, the quadratic-radiality detector."""
     ndim = u.nvars
-    return u.hessian_frobenius_sq(ndim) - ndim
+    hess = [d for g in u.gradient(ndim) for d in g.gradient(ndim)]
+    return dot(hess, hess) - ndim
 
 
 def is_quadratic_radial(u):
     """True when the Hessian is the identity, i.e. u - |x-z|^2/2 is affine."""
     ndim = u.nvars
-    for i in range(ndim):
-        for j in range(ndim):
-            want = 1 if i == j else 0
-            if not (u.diff(i).diff(j) - want).is_zero():
-                return False
-    return True
+    return all(
+        (d - int(i == j)).is_zero()
+        for i, g in enumerate(u.gradient(ndim))
+        for j, d in enumerate(g.gradient(ndim))
+    )
 
 
 def random_rational_points(ndim, count, seed):
@@ -435,6 +390,8 @@ def random_rational_points(ndim, count, seed):
 
 def identity_case_table(dims, degree, cases, seed0=0):
     """Pass/fail rows for the CLI: both symbolic identities per random pair."""
+    if cases < 1:
+        raise InvalidSpec(f"need at least one case per dimension, got {cases}")
     rows = []
     for ndim in dims:
         for case in range(cases):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from serrinlab.geometry import EllipseDomain, build_domain
 from serrinlab.meshfem import (
@@ -7,6 +8,11 @@ from serrinlab.meshfem import (
     solve_torsion_dirichlet,
     solve_torsion_neumann,
 )
+
+# Property tests draw the same examples on every run: no example database,
+# no per-example deadline.  Each test sets only its max_examples.
+settings.register_profile("serrinlab", derandomize=True, deadline=None, database=None)
+settings.load_profile("serrinlab")
 
 
 @pytest.fixture(scope="session")

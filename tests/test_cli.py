@@ -201,6 +201,13 @@ def test_missing_domain_file_is_operational_error(tmp_path):
         (None, ["sweep", "--alpha", "2", "--h-target", "0.3"]),
         ({"rho0": 1.0, "modes": []},
          ["convergence", "--identity", "general_1_9", "--h-list", "0.2,0.2,0.2"]),
+        ({"rho0": 1.0, "modes": []}, ["solve", "--h-target", "abc"]),
+        (None, ["pointwise-identity", "--cases", "x"]),
+        (None, ["sweep", "--no-such-flag"]),
+        ({"rho0": 1.0, "modes": []}, ["solve", "--h-target", "0.3", "--alpha", "nan"]),
+        ({"rho0": 1.0, "modes": []}, ["spectral", "--alpha", "-5"]),
+        (None, ["pointwise-identity", "--cases", "0"]),
+        (None, ["pointwise-identity", "--cases", "-3"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):
@@ -211,6 +218,13 @@ def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):
     code = main(["--out", str(tmp_path / "r")] + argv)
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--h-target" in capsys.readouterr().out
 
 
 def test_convergence_study_rigid_flag(disk_spec):

@@ -255,7 +255,7 @@ _modes = st.lists(
 _coord = st.floats(-1.0, 1.0, allow_nan=False)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(
     rho0=st.floats(0.5, 2.0),
     modes=_modes,

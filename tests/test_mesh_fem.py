@@ -453,7 +453,7 @@ _spec = st.one_of(
 )
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(spec=_spec, h=st.floats(0.2, 0.3))
 def test_mesh_properties(spec, h):
     try:

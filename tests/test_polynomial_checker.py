@@ -2,6 +2,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serrinlab.errors import NotTorsionPolynomial
 from serrinlab.polycheck import (
@@ -125,6 +127,36 @@ def test_rejects_non_torsion():
         check_pfunction_identity(bad)
     with pytest.raises(NotTorsionPolynomial):
         check_differential_identity(bad, quadratic_core(2))
+
+
+_coef = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def _ring_case(draw):
+    """Two polynomials in 2-3 variables and a rational point."""
+    nvars = draw(st.integers(2, 3))
+    mono = st.tuples(*[st.integers(0, 3)] * nvars)
+    poly = st.dictionaries(mono, _coef, max_size=6).map(lambda t: Polynomial(nvars, t))
+    return nvars, draw(poly), draw(poly), draw(st.tuples(*[_coef] * nvars))
+
+
+@settings(max_examples=60)
+@given(_ring_case())
+def test_polynomial_ring_laws(case):
+    nvars, p, q, x = case
+    px, qx = p.evaluate(x), q.evaluate(x)
+    assert (p + q).evaluate(x) == px + qx
+    assert (p - q).evaluate(x) == px - qx
+    assert (p * q).evaluate(x) == px * qx
+    assert (p - p).is_zero()
+    results = [p + q, p - q, p * q, p - p, -p, p * Fraction(-2, 3), p + 1]
+    for i in range(nvars):
+        lhs = (p * q).diff(i)
+        assert lhs == p.diff(i) * q + p * q.diff(i)
+        results.append(lhs)
+    for r in results:
+        assert all(c != 0 for c in r.terms.values())
 
 
 def test_case_table_runtime_and_passes():
