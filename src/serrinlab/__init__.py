@@ -5,11 +5,9 @@ symmetry-stability measurements."""
 __version__ = "0.1.0"
 
 from .geometry import (
-    BoundaryFrame,
     DomainMeasures,
     EllipseDomain,
     StarDomain,
-    boundary_frame,
     build_domain,
     distance_to_boundary,
     domain_from_spec,
@@ -26,7 +24,6 @@ from .meshfem import (
     volume_integral,
 )
 from .boundary import (
-    BoundaryFunction,
     check_integration_by_parts,
     laplace_beltrami,
     lemma21_residual,

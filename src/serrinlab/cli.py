@@ -4,7 +4,8 @@ computations, and stability sweeps, persisting machine-readable reports.
 Every run writes its artifacts plus a manifest (command, canonical config
 hash, domain spec, seeds, version, timestamp, artifact list) into the
 output directory.  Exit codes: 0 when all asserted contracts pass, 2 on a
-contract violation, 1 on an operational error.
+contract violation, 1 on an operational error; once the output directory
+exists, a failed run's manifest records the error text.
 """
 
 import argparse
@@ -66,17 +67,22 @@ def _sanitize(obj):
 
 
 class Run:
-    """Collects artifacts and writes the manifest at the end."""
+    """Creates the output directory, collects artifacts and writes the
+    manifest at the end (with the error text of a failed run)."""
 
-    def __init__(self, args, command):
-        self.command = command
+    def __init__(self, args):
+        self.command = args.command
         self.out = Path(args.out)
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidSpec(f"--out {args.out!r}: cannot create directory ({exc})")
         config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
         self.config = config
         payload = json.dumps(config, sort_keys=True, default=str)
         self.config_hash = hashlib.sha256(payload.encode()).hexdigest()[:16]
         self.artifacts = []
+        self.error = None
 
     def write_json(self, name, data):
         path = self.out / name
@@ -111,6 +117,8 @@ class Run:
             "status": status,
             "artifacts": sorted(self.artifacts),
         }
+        if self.error is not None:
+            manifest["error"] = self.error
         with open(self.out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
@@ -134,6 +142,17 @@ def _numbers(text, flag, kind):
     return values
 
 
+def _finite_float(text):
+    """argparse type of a float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    return value
+
+
 def _load_domain(args):
     with open(args.domain) as fh:
         return domain_from_spec(json.load(fh))
@@ -141,8 +160,7 @@ def _load_domain(args):
 
 # -- subcommands ------------------------------------------------------------------
 
-def cmd_solve(args):
-    run = Run(args, "solve")
+def cmd_solve(args, run):
     domain = _load_domain(args)
     mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
     if args.problem == "torsion-dirichlet":
@@ -166,7 +184,7 @@ def cmd_solve(args):
         "h_max": mesh.h_max,
         "min_value": float(field.coeffs.min()),
         "center_value": float(field.coeffs[0]),
-        "trace_oscillation": tr.osc(),
+        "trace_oscillation": float(np.ptp(tr)),
     }
     if hasattr(field, "R_disc"):
         report["R_disc"] = field.R_disc
@@ -175,8 +193,7 @@ def cmd_solve(args):
     return run.finish(PASS)
 
 
-def cmd_verify_identity(args):
-    run = Run(args, "verify-identity")
+def cmd_verify_identity(args, run):
     z = None
     if args.z != "auto":
         z = np.array(_numbers(args.z, "--z", float))
@@ -196,8 +213,7 @@ def cmd_verify_identity(args):
     return run.finish(status)
 
 
-def cmd_pointwise_identity(args):
-    run = Run(args, "pointwise-identity")
+def cmd_pointwise_identity(args, run):
     dims = _numbers(args.N, "--N", int)
     rows = identity_case_table(dims, args.degree, args.cases, args.seed)
     header = ["N", "degree", "seed", "residual_is_zero", "spot_residual"]
@@ -215,8 +231,7 @@ def cmd_pointwise_identity(args):
     return run.finish(PASS if all_ok else CONTRACT_FAIL)
 
 
-def cmd_spectral(args):
-    run = Run(args, "spectral")
+def cmd_spectral(args, run):
     domain = _load_domain(args)
     mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
     nu, sig = eigenvalues(mesh)
@@ -234,8 +249,7 @@ def cmd_spectral(args):
     return run.finish(PASS if ok else CONTRACT_FAIL)
 
 
-def cmd_sweep(args):
-    run = Run(args, "sweep")
+def cmd_sweep(args, run):
     amplitudes = _numbers(args.amplitudes, "--amplitudes", float)
     result = stability_sweep(
         args.mode,
@@ -291,8 +305,7 @@ def cmd_sweep(args):
     return run.finish(status)
 
 
-def cmd_check_bounds(args):
-    run = Run(args, "check-bounds")
+def cmd_check_bounds(args, run):
     domain = _load_domain(args)
     mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
     u = solve_torsion_neumann(mesh)
@@ -316,8 +329,7 @@ def cmd_check_bounds(args):
     return run.finish(PASS if ok else CONTRACT_FAIL)
 
 
-def cmd_strong_deviation(args):
-    run = Run(args, "strong-deviation")
+def cmd_strong_deviation(args, run):
     if args.amplitudes:
         cases = [
             (eps, domain_from_spec({"rho0": 1.0, "modes": [[args.mode, eps, 0.0]]}))
@@ -361,8 +373,7 @@ def cmd_strong_deviation(args):
     return run.finish(status)
 
 
-def cmd_convergence(args):
-    run = Run(args, "convergence")
+def cmd_convergence(args, run):
     domain = _load_domain(args)
     h_list = _numbers(args.h_list, "--h-list", float)
     rows, order, flag = convergence_study(
@@ -401,10 +412,10 @@ def build_parser():
     def common(sp, domain=True, alpha=False):
         if domain:
             sp.add_argument("--domain", required=True, help="domain spec JSON path")
-        sp.add_argument("--h-target", dest="h_target", type=float, default=0.05)
+        sp.add_argument("--h-target", dest="h_target", type=_finite_float, default=0.05)
         sp.add_argument("--dof-cap", dest="dof_cap", type=int, default=None)
         if alpha:
-            sp.add_argument("--alpha", type=float, default=0.5)
+            sp.add_argument("--alpha", type=_finite_float, default=0.5)
 
     sp = sub.add_parser("solve", help="solve one boundary value problem")
     common(sp)
@@ -422,7 +433,7 @@ def build_parser():
         "--z", default="auto",
         help="'auto' or 'x,y'; general_1_9 takes no point and ignores it",
     )
-    sp.add_argument("--tol", type=float, default=1e-2)
+    sp.add_argument("--tol", type=_finite_float, default=1e-2)
     sp.set_defaults(func=cmd_verify_identity)
 
     sp = sub.add_parser("pointwise-identity", help="exact polynomial checks")
@@ -440,9 +451,9 @@ def build_parser():
     sp.add_argument("--mode", type=int, default=2)
     sp.add_argument("--amplitudes", default="0.0125,0.025,0.05,0.1")
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--slope-min", dest="slope_min", type=float, default=0.85)
-    sp.add_argument("--slope-max", dest="slope_max", type=float, default=1.3)
-    sp.add_argument("--r2-min", dest="r2_min", type=float, default=0.98)
+    sp.add_argument("--slope-min", dest="slope_min", type=_finite_float, default=0.85)
+    sp.add_argument("--slope-max", dest="slope_max", type=_finite_float, default=1.3)
+    sp.add_argument("--r2-min", dest="r2_min", type=_finite_float, default=0.98)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("check-bounds", help="pointwise and spectral bounds")
@@ -466,11 +477,16 @@ def build_parser():
 
 
 def main(argv=None):
+    run = None
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        run = Run(args)
+        return args.func(args, run)
     except (SerrinLabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if run is not None:
+            run.error = str(exc)
+            run.finish(ERROR)
         return ERROR
 
 

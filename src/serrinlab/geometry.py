@@ -33,22 +33,6 @@ _STAR_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
-class BoundaryFrame:
-    """Pointwise boundary data at angle theta.
-
-    nu is the outward unit normal, kappa the signed curvature with respect
-    to the interior normal (unit circle: kappa = 1), arclength_density the
-    polar speed |gamma'(theta)|.
-    """
-
-    theta: float
-    point: np.ndarray
-    nu: np.ndarray
-    kappa: float
-    arclength_density: float
-
-
-@dataclass(frozen=True)
 class DomainMeasures:
     area: float
     perimeter: float
@@ -277,18 +261,6 @@ def domain_from_spec(spec) -> RadialDomain:
     if "rho0" not in spec:
         raise InvalidSpec("domain spec needs 'rho0' or 'ellipse'")
     return build_domain(spec["rho0"], spec.get("modes", []), center)
-
-
-def boundary_frame(domain, theta) -> BoundaryFrame:
-    """Analytic boundary frame (position, normal, curvature) at one angle."""
-    point, nu, kappa, speed = domain.frame_arrays(float(theta))
-    return BoundaryFrame(
-        theta=float(theta),
-        point=point,
-        nu=nu,
-        kappa=float(kappa),
-        arclength_density=float(speed),
-    )
 
 
 def _compute_measures(domain) -> DomainMeasures:

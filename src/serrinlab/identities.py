@@ -9,10 +9,10 @@ squared gradients and dot products are built from that decomposition, so
 the algebraic rearrangements between identity forms hold to roundoff
 independently of FEM error.
 
-Strong-form audits gate every evaluation: the identities hold only for
-fields that actually solve the constant-source problem with the claimed
-boundary data, so contract violations raise instead of producing
-meaningless residuals.
+Strong-form audits (defined in `boundary`) gate every evaluation: the
+identities hold only for fields that actually solve the constant-source
+problem with the claimed boundary data, so contract violations raise
+instead of producing meaningless residuals.
 """
 
 import hashlib
@@ -22,24 +22,20 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .boundary import (
-    BoundaryFunction,
     _frames,
+    audit_dirichlet,
+    audit_neumann,
+    audit_torsion,
     hessian_flux,
     normal_derivative,
     normal_tangential,
     spectral_tangential_derivative,
-    trace,
+    surface_integral,
 )
-from .errors import NotDirichlet, NotNeumann, NotTorsion
 from .geometry import radii_about
-from .meshfem import FemField, quad_integral, recovered_hessian_at_quad
+from .meshfem import SOURCE, FemField, quad_integral, recovered_hessian_at_quad
 
-SOURCE = 2.0
 RESIDUAL_FLOOR = 1e-14
-TORSION_AUDIT_TOL = 0.5      # mean |trace of recovered Hessian - 2|
-NEUMANN_AUDIT_TOL = 0.05     # oscillation of the recovered normal derivative
-                             # (flux is only approximate at coarse h)
-DIRICHLET_AUDIT_TOL = 1e-3   # oscillation of the trace (imposed exactly)
 
 
 @dataclass
@@ -90,64 +86,25 @@ def _report(identity_id, terms, lhs, rhs, mesh, extras=None):
     )
 
 
-# -- audits -------------------------------------------------------------------
-
-def audit_torsion(field, tol=TORSION_AUDIT_TOL):
-    """Strong-form check: trace of the recovered Hessian must sit near 2."""
-    H = field.recovered.hessian
-    dev = float(np.mean(np.abs(H[:, 0] + H[:, 1] - SOURCE)))
-    if dev > tol:
-        raise NotTorsion(
-            f"mean |Laplacian - 2| = {dev:.3g} exceeds {tol}; "
-            f"field kind={field.kind!r} is not a constant-source solution"
-        )
-    return dev
-
-
-def audit_neumann(field, tol=NEUMANN_AUDIT_TOL):
-    audit_torsion(field)
-    unu = normal_derivative(field)
-    osc = unu.osc()
-    if osc > tol:
-        raise NotNeumann(
-            f"normal derivative oscillates by {osc:.3g} (> {tol}); "
-            "not a constant-flux solution"
-        )
-    return osc
-
-
-def audit_dirichlet(field, tol=DIRICHLET_AUDIT_TOL):
-    audit_torsion(field)
-    osc = trace(field).osc()
-    if osc > tol:
-        raise NotDirichlet(
-            f"trace oscillates by {osc:.3g} (> {tol}); not a constant-trace solution"
-        )
-    return osc
-
-
 # -- shared ingredients ----------------------------------------------------------
 
 class _BoundaryData:
     """Decomposition-consistent boundary ingredients of one field."""
 
     def __init__(self, field):
-        mesh = field.mesh
+        mesh = self.mesh = field.mesh
         frames = _frames(mesh)
         tr = field.trace_values()
         self.ubar = float(tr.max())
         self.f = self.ubar - tr                              # (ubar - u) on the curve
-        self.u_nu = normal_derivative(field).values
+        self.u_nu = normal_derivative(field)
         if field.analytic_gradient is not None:
             g = field.analytic_gradient(mesh.nodes[mesh.boundary_idx])
             _, self.u_tau = normal_tangential(mesh, g)
         else:
-            self.u_tau = spectral_tangential_derivative(
-                BoundaryFunction(mesh, tr)
-            ).values
+            self.u_tau = spectral_tangential_derivative(mesh, tr)
         self.grad_sq = self.u_nu**2 + self.u_tau**2
         self.kappa = frames.kappa
-        self.weights = frames.weights
         # <H grad u, nu> with the decomposition-consistent gradient vector
         gvec = self.u_nu[:, None] * frames.nu + self.u_tau[:, None] * frames.tau
         self.hess_flux = hessian_flux(
@@ -155,7 +112,7 @@ class _BoundaryData:
         )
 
     def integrate(self, values):
-        return float(np.dot(values, self.weights))
+        return surface_integral(self.mesh, values)
 
 
 def paraboloid_boundary(mesh, z):

@@ -678,13 +678,9 @@ def solve_torsion_neumann(mesh) -> FemField:
 def solve_harmonic_dirichlet(mesh, g) -> FemField:
     """Harmonic field with prescribed boundary trace g.
 
-    g may be a BoundaryFunction, an array in boundary-node order, or a
-    callable of theta.
+    g is an array in boundary-node order or a callable of theta.
     """
-    vals = getattr(g, "values", g)
-    if callable(vals):
-        vals = vals(mesh.boundary_theta)
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(g(mesh.boundary_theta) if callable(g) else g, dtype=float)
     if vals.shape != mesh.boundary_idx.shape:
         raise ValueError("boundary data does not cover all boundary nodes")
     u = np.zeros(mesh.n_nodes)

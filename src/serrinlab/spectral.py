@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryFunction, _frames, surface_integral
+from .boundary import _frames, audit_neumann, surface_integral
 from .errors import ConvergenceFailure
-from .identities import audit_neumann, flux_constant, paraboloid_boundary, paraboloid_field
+from .identities import flux_constant, paraboloid_boundary, paraboloid_field
 from .meshfem import (
     FemField,
     _memo,
@@ -129,10 +129,9 @@ def check_l2_oscillation_bound(u_field, z, a=0.0) -> OscillationL2Report:
     lhs = float(np.sqrt(quad_integral(mesh, nodal_to_quad(mesh, dev) ** 2)))
 
     q_nu, _ = paraboloid_boundary(mesh, z)
-    bf = BoundaryFunction(mesh, (flux_constant(u_field) - q_nu) ** 2)
-    flux_dev = float(np.sqrt(surface_integral(bf)))
-    h_bnd = BoundaryFunction(mesh, h[mesh.boundary_idx])
-    h_mean_boundary = surface_integral(h_bnd) / h_bnd.total_length
+    flux_sq = (flux_constant(u_field) - q_nu) ** 2
+    flux_dev = float(np.sqrt(surface_integral(mesh, flux_sq)))
+    h_mean_boundary = surface_integral(mesh, h[mesh.boundary_idx]) / _frames(mesh).length
 
     nu_res, sig_res = eigenvalues(mesh)
     rhs = 2.0 * flux_dev / np.sqrt(nu_res.value * sig_res.value)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field as dc_field, fields
 import numpy as np
 
 from .boundary import (
+    audit_neumann,
+    audit_torsion,
     holder_seminorm,
     normal_derivative,
     surface_integral,
@@ -28,8 +30,6 @@ from .boundary import (
 from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidSpec, InvalidVariant
 from .geometry import build_domain, distances_to_boundary, radii_about
 from .identities import (
-    audit_neumann,
-    audit_torsion,
     eval_classical_identity,
     eval_general_identity,
     eval_mother_identity,
@@ -186,17 +186,17 @@ class DeviationSet:
 def deviations(u_field, alpha=DEFAULT_ALPHA) -> DeviationSet:
     """All boundary deviation measures of a constant-flux field."""
     audit_neumann(u_field)
+    mesh = u_field.mesh
     tr = trace(u_field)
     gt = tangential_gradient(u_field)
-    ubar = float(tr.values.max())
-    f = ubar - tr.values
+    ubar = float(tr.max())
+    f = ubar - tr
     osc = float(f.max())
-    grad_inf = float(np.abs(gt.values).max())
-    grad_l2 = math.sqrt(surface_integral(gt, gt.values**2))
-    f_l2 = math.sqrt(surface_integral(tr, f**2))
+    grad_inf = float(np.abs(gt).max())
+    grad_l2 = math.sqrt(surface_integral(mesh, gt**2))
+    f_l2 = math.sqrt(surface_integral(mesh, f**2))
     tangential_norm = math.hypot(f_l2, grad_l2)
-    min_sep = u_field.mesh.h_max
-    hol = holder_seminorm(-gt.values, gt.arclengths, gt.total_length, alpha, min_sep)
+    hol = holder_seminorm(mesh, -gt, alpha)
     c1 = osc + grad_inf + hol
     return DeviationSet(osc, grad_inf, grad_l2, tangential_norm, c1, alpha)
 
@@ -291,12 +291,12 @@ def oscillation_bound_check(u_field, z=None, alpha=DEFAULT_ALPHA,
         )
 
     tr = trace(u_field)
-    h_trace = paraboloid_field(mesh, z).trace_values() - tr.values
-    osc_h = float(h_trace.max() - h_trace.min())
+    h_trace = paraboloid_field(mesh, z).trace_values() - tr
+    osc_h = float(np.ptp(h_trace))
 
     hess_sq = hess_h_sq_quad(u_field)
     W = float(np.sqrt(quad_integral(mesh, _quad_distances(mesh) * hess_sq)))
-    ubar = float(tr.values.max())
+    ubar = float(tr.max())
     V = float(quad_integral(mesh, (ubar - u_field.values_at_quad()) * hess_sq))
 
     dev = deviations(u_field, alpha)
@@ -530,11 +530,9 @@ def strong_deviation_pipeline(u_field, alpha=DEFAULT_ALPHA) -> StrongDeviationRe
     f = FemField(mesh, u_field.coeffs - w.coeffs, kind="generic")
     trace_res = float(np.abs(f.trace_values()).max())
     lap_res = audit_torsion(f)
-    f_nu = normal_derivative(f)
-    dev = flux_constant(u_field) - f_nu.values
-    flux_l2 = math.sqrt(surface_integral(f_nu, dev**2))
-    hol = holder_seminorm(dev, f_nu.arclengths, f_nu.total_length, alpha,
-                          mesh.h_max)
+    dev = flux_constant(u_field) - normal_derivative(f)
+    flux_l2 = math.sqrt(surface_integral(mesh, dev**2))
+    hol = holder_seminorm(mesh, dev, alpha)
     flux_c0 = float(np.abs(dev).max()) + hol
     u_c1 = deviations(u_field, alpha).c1alpha_norm
     ratio = flux_c0 / u_c1 if u_c1 > 0 else float("inf")

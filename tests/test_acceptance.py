@@ -116,8 +116,8 @@ def test_criterion_3_ellipse_closed_form():
 
         unu = normal_derivative(u)
         theta = mesh.boundary_theta
-        assert abs(unu.values[np.argmin(np.abs(theta))] - 0.8) <= 1e-3
-        assert abs(unu.values[np.argmin(np.abs(theta - np.pi / 2))] - 1.6) <= 1e-3
+        assert abs(unu[np.argmin(np.abs(theta))] - 0.8) <= 1e-3
+        assert abs(unu[np.argmin(np.abs(theta - np.pi / 2))] - 1.6) <= 1e-3
 
         _, dP = p_function(u)
         nodes = mesh.nodes

@@ -4,7 +4,6 @@ import pytest
 from conftest import fit_order
 from serrinlab import boundary
 from serrinlab.boundary import (
-    BoundaryFunction,
     boundary_curvatures,
     boundary_normals,
     boundary_tangents,
@@ -19,8 +18,8 @@ from serrinlab.boundary import (
     tangential_gradient,
     trace,
 )
-from serrinlab.errors import NotDirichlet, NotNeumann
-from serrinlab.identities import eval_neumann_identity
+from serrinlab.errors import NotDirichlet, NotNeumann, NotTorsion
+from serrinlab.identities import eval_classical_identity, eval_neumann_identity
 from serrinlab.meshfem import FemField, generate_mesh, solve_torsion_neumann
 
 
@@ -28,17 +27,17 @@ from serrinlab.meshfem import FemField, generate_mesh, solve_torsion_neumann
 
 
 def test_trace_dirichlet_zero(disk_dirichlet):
-    assert np.abs(trace(disk_dirichlet).values).max() <= 1e-12
+    assert np.abs(trace(disk_dirichlet)).max() <= 1e-12
 
 
 def test_trace_coordinate(disk_mesh):
     f = FemField(disk_mesh, disk_mesh.nodes[:, 0])
     tv = trace(f)
-    assert np.abs(tv.values - np.cos(tv.theta)).max() < 1e-12
+    assert np.abs(tv - np.cos(disk_mesh.boundary_theta)).max() < 1e-12
 
 
 def test_trace_neumann_constant(disk_neumann):
-    assert trace(disk_neumann).osc() <= 1e-6
+    assert np.ptp(trace(disk_neumann)) <= 1e-6
 
 
 # -- normal derivative ----------------------------------------------------------
@@ -46,7 +45,7 @@ def test_trace_neumann_constant(disk_neumann):
 
 def test_disk_dirichlet_normal_derivative(disk_dirichlet):
     unu = normal_derivative(disk_dirichlet)
-    assert np.abs(unu.values - 1.0).max() < 1e-5
+    assert np.abs(unu - 1.0).max() < 1e-5
 
 
 def test_ellipse_normal_derivative_vertices(ellipse_dirichlet):
@@ -54,8 +53,8 @@ def test_ellipse_normal_derivative_vertices(ellipse_dirichlet):
     theta = ellipse_dirichlet.mesh.boundary_theta
     i_major = np.argmin(np.abs(theta - 0.0))
     i_minor = np.argmin(np.abs(theta - np.pi / 2))
-    assert abs(unu.values[i_major] - 0.8) < 1e-3
-    assert abs(unu.values[i_minor] - 1.6) < 1e-3
+    assert abs(unu[i_major] - 0.8) < 1e-3
+    assert abs(unu[i_minor] - 1.6) < 1e-3
 
 
 def test_neumann_flux_converges(pdisk):
@@ -64,7 +63,7 @@ def test_neumann_flux_converges(pdisk):
     for h in hs:
         f = solve_torsion_neumann(generate_mesh(pdisk, h))
         unu = normal_derivative(f)
-        errs.append(np.abs(unu.values - f.R_disc).max())
+        errs.append(np.abs(unu - f.R_disc).max())
     assert errs[-1] < errs[0]
     assert fit_order(hs, errs) >= 1.5
 
@@ -74,20 +73,30 @@ def test_neumann_flux_converges(pdisk):
 
 def test_tangential_gradient_dirichlet_small(disk_dirichlet):
     gt = tangential_gradient(disk_dirichlet)
-    assert np.abs(gt.values).max() <= 1e-6
+    assert np.abs(gt).max() <= 1e-6
+
+
+def _fd4_arclength_derivative(mesh, values):
+    """4th-order central finite difference in theta, divided by the metric."""
+    dtheta = 2.0 * np.pi / values.size
+    vp1, vm1 = np.roll(values, -1), np.roll(values, 1)
+    vp2, vm2 = np.roll(values, -2), np.roll(values, 2)
+    d = (8.0 * (vp1 - vm1) - (vp2 - vm2)) / (12.0 * dtheta)
+    return d / boundary._frames(mesh).metric
 
 
 def test_tangential_gradient_coordinate(disk_mesh):
     f = FemField(disk_mesh, disk_mesh.nodes[:, 0])
     gt = tangential_gradient(f)
-    assert np.abs(gt.values - (-np.sin(gt.theta))).max() < 1e-8
-    assert gt.fd_discrepancy < 1e-5
+    assert np.abs(gt - (-np.sin(disk_mesh.boundary_theta))).max() < 1e-8
+    fd = _fd4_arclength_derivative(disk_mesh, trace(f))
+    assert np.abs(gt - fd).max() < 1e-5
 
 
 def test_decomposition_exactness(pdisk_neumann):
     g = pdisk_neumann.recovered.gradient[pdisk_neumann.mesh.boundary_idx]
-    unu = normal_derivative(pdisk_neumann).values
-    gt = tangential_gradient(pdisk_neumann).values
+    unu = normal_derivative(pdisk_neumann)
+    gt = tangential_gradient(pdisk_neumann)
     assert np.abs((g**2).sum(1) - (unu**2 + gt**2)).max() < 1e-10
 
 
@@ -95,17 +104,16 @@ def test_decomposition_exactness(pdisk_neumann):
 
 
 def test_laplace_beltrami_constant(disk_mesh):
-    b = BoundaryFunction(disk_mesh, np.ones(len(disk_mesh.boundary_idx)))
-    assert np.abs(laplace_beltrami(b).values).max() <= 1e-12
+    b = np.ones(len(disk_mesh.boundary_idx))
+    assert np.abs(laplace_beltrami(disk_mesh, b)).max() <= 1e-12
 
 
 def test_laplace_beltrami_cosine(disk):
     # roundoff in the theta samples is amplified by k^2, so test at the
     # coarser grid where the spectral error floor sits below 1e-10
     mesh = generate_mesh(disk, 0.1)
-    b = BoundaryFunction(mesh, np.cos(mesh.boundary_theta))
-    lb = laplace_beltrami(b)
-    assert np.abs(lb.values + np.cos(mesh.boundary_theta)).max() < 1e-10
+    lb = laplace_beltrami(mesh, np.cos(mesh.boundary_theta))
+    assert np.abs(lb + np.cos(mesh.boundary_theta)).max() < 1e-10
 
 
 def test_reilly_identity_for_paraboloid(ellipse_mesh):
@@ -113,8 +121,7 @@ def test_reilly_identity_for_paraboloid(ellipse_mesh):
     z = np.array([0.2, -0.1])
     pts = ellipse_mesh.nodes[ellipse_mesh.boundary_idx]
     q = 0.5 * ((pts - z) ** 2).sum(1)
-    bq = BoundaryFunction(ellipse_mesh, q)
-    lhs = laplace_beltrami(bq).values
+    lhs = laplace_beltrami(ellipse_mesh, q)
     nu = boundary_normals(ellipse_mesh)
     kappa = boundary_curvatures(ellipse_mesh)
     q_nu = np.einsum("ij,ij->i", pts - z, nu)
@@ -125,8 +132,8 @@ def test_reilly_identity_for_paraboloid(ellipse_mesh):
 
 
 def test_surface_integral_circle(disk_mesh):
-    one = BoundaryFunction(disk_mesh, np.ones(len(disk_mesh.boundary_idx)))
-    assert abs(surface_integral(one) - 2 * np.pi) < 1e-10
+    one = np.ones(len(disk_mesh.boundary_idx))
+    assert abs(surface_integral(disk_mesh, one) - 2 * np.pi) < 1e-10
 
 
 def test_laplace_beltrami_integrates_to_zero(pdisk_mesh):
@@ -136,8 +143,8 @@ def test_laplace_beltrami_integrates_to_zero(pdisk_mesh):
         rng.normal() * np.cos(k * theta) + rng.normal() * np.sin(k * theta)
         for k in range(1, 6)
     )
-    b = BoundaryFunction(pdisk_mesh, vals)
-    assert abs(surface_integral(laplace_beltrami(b))) < 1e-9
+    lb = laplace_beltrami(pdisk_mesh, vals)
+    assert abs(surface_integral(pdisk_mesh, lb)) < 1e-9
 
 
 def test_support_integral_ellipse(ellipse_mesh):
@@ -145,13 +152,12 @@ def test_support_integral_ellipse(ellipse_mesh):
     nu = boundary_normals(ellipse_mesh)
     for z in (np.zeros(2), np.array([0.4, 0.2])):
         vals = np.einsum("ij,ij->i", pts - z, nu)
-        b = BoundaryFunction(ellipse_mesh, vals)
-        assert abs(surface_integral(b) - 4 * np.pi) < 1e-8
+        assert abs(surface_integral(ellipse_mesh, vals) - 4 * np.pi) < 1e-8
 
 
 def test_weights_sum_to_perimeter(ellipse_mesh):
-    one = BoundaryFunction(ellipse_mesh, np.ones(len(ellipse_mesh.boundary_idx)))
-    assert abs(one.total_length - ellipse_mesh.domain.measures.perimeter) < 1e-8
+    length = boundary._frames(ellipse_mesh).length
+    assert abs(length - ellipse_mesh.domain.measures.perimeter) < 1e-8
 
 
 # -- integration by parts -----------------------------------------------------------------
@@ -159,18 +165,18 @@ def test_weights_sum_to_perimeter(ellipse_mesh):
 
 def test_parts_coordinate_field(disk_mesh):
     f = FemField(disk_mesh, disk_mesh.nodes[:, 0])
-    abs_res, rel = check_integration_by_parts(f, f)
+    abs_res, rel = check_integration_by_parts(disk_mesh, trace(f), trace(f))
     # both sides equal pi on the unit circle
-    dv = spectral_tangential_derivative(trace(f))
-    lhs = surface_integral(dv, dv.values**2)
+    dv = spectral_tangential_derivative(disk_mesh, trace(f))
+    lhs = surface_integral(disk_mesh, dv**2)
     assert abs(lhs - np.pi) < 1e-8
     assert abs_res <= 1e-8
 
 
 def test_parts_constant(disk_mesh):
-    c = BoundaryFunction(disk_mesh, np.full(len(disk_mesh.boundary_idx), 2.5))
+    c = np.full(len(disk_mesh.boundary_idx), 2.5)
     f = FemField(disk_mesh, disk_mesh.nodes[:, 1])
-    abs_res, _ = check_integration_by_parts(c, trace(f))
+    abs_res, _ = check_integration_by_parts(disk_mesh, c, trace(f))
     assert abs_res <= 1e-10
 
 
@@ -185,9 +191,7 @@ def test_parts_random_fourier(pdisk_mesh):
             for k in range(1, 8)
         )
 
-    v = BoundaryFunction(pdisk_mesh, smooth())
-    w = BoundaryFunction(pdisk_mesh, smooth())
-    _, rel = check_integration_by_parts(v, w)
+    _, rel = check_integration_by_parts(pdisk_mesh, smooth(), smooth())
     assert rel <= 1e-6
 
 
@@ -196,7 +200,7 @@ def test_parts_random_fourier(pdisk_mesh):
 
 def test_lemma21_disk_dirichlet(disk_dirichlet):
     res = lemma21_residual(disk_dirichlet, "dirichlet")
-    assert np.abs(res.values).max() <= 1e-4
+    assert np.abs(res).max() <= 1e-4
 
 
 def test_lemma21_ellipse_dirichlet(ellipse_dirichlet):
@@ -205,9 +209,9 @@ def test_lemma21_ellipse_dirichlet(ellipse_dirichlet):
     unu = normal_derivative(ellipse_dirichlet)
     kappa = boundary_curvatures(ellipse_dirichlet.mesh)
     i = np.argmin(np.abs(ellipse_dirichlet.mesh.boundary_theta))
-    rhs = unu.values[i] * (2 - kappa[i] * unu.values[i])
+    rhs = unu[i] * (2 - kappa[i] * unu[i])
     assert abs(rhs - 0.32) < 1e-3
-    assert np.abs(res.values).max() < 1e-3
+    assert np.abs(res).max() < 1e-3
 
 
 def test_lemma21_neumann_converges(pdisk):
@@ -215,7 +219,7 @@ def test_lemma21_neumann_converges(pdisk):
     hs = [0.1, 0.05]
     for h in hs:
         f = solve_torsion_neumann(generate_mesh(pdisk, h))
-        errs.append(np.abs(lemma21_residual(f, "neumann").values).max())
+        errs.append(np.abs(lemma21_residual(f, "neumann")).max())
     assert errs[1] < errs[0]
     assert fit_order(hs, errs) > 0.5
 
@@ -224,33 +228,44 @@ def test_lemma21_kind_audits(ellipse_dirichlet, pdisk_neumann):
     with pytest.raises(NotNeumann):
         lemma21_residual(ellipse_dirichlet, "neumann")
     with pytest.raises(NotDirichlet):
-        lemma21_residual(pdisk_neumann, "dirichlet", audit_tol=1e-6)
+        lemma21_residual(pdisk_neumann, "dirichlet")
+
+
+@pytest.fixture(scope="module")
+def harmonic_field(disk_mesh):
+    return FemField(disk_mesh, disk_mesh.nodes[:, 0])
+
+
+@pytest.mark.parametrize(
+    "kind, fixture, evaluator, error",
+    [
+        ("dirichlet", "pdisk_neumann", eval_classical_identity, NotDirichlet),
+        ("neumann", "ellipse_dirichlet", eval_neumann_identity, NotNeumann),
+        ("dirichlet", "harmonic_field", eval_classical_identity, NotTorsion),
+        ("neumann", "harmonic_field", eval_neumann_identity, NotTorsion),
+    ],
+)
+def test_lemma21_audits_match_identity_audits(request, kind, fixture, evaluator, error):
+    # the Lemma 2.1 residual and the identity of the same kind share one audit
+    u = request.getfixturevalue(fixture)
+    with pytest.raises(error):
+        lemma21_residual(u, kind)
+    with pytest.raises(error):
+        evaluator(u, (0.0, 0.0))
 
 
 # -- Hoelder seminorm ---------------------------------------------------------------------------
 
 
 def test_holder_seminorm_linear_profile(disk_mesh):
-    b = BoundaryFunction(disk_mesh, np.cos(disk_mesh.boundary_theta))
     # |cos s_i - cos s_j| <= |s_i - s_j|, so the alpha=1 quotient is <= 1
-    val = holder_seminorm(b.values, b.arclengths, b.total_length, 1.0, 0.05)
+    val = holder_seminorm(disk_mesh, np.cos(disk_mesh.boundary_theta), 1.0)
     assert 0.5 < val <= 1.0 + 1e-9
 
 
 def test_holder_seminorm_constant_zero(disk_mesh):
-    b = BoundaryFunction(disk_mesh, np.ones(len(disk_mesh.boundary_idx)))
-    assert holder_seminorm(b.values, b.arclengths, b.total_length, 0.5, 0.05) == 0.0
-
-
-def test_boundary_function_csv_export(tmp_path, disk_mesh):
-    b = BoundaryFunction(disk_mesh, np.cos(disk_mesh.boundary_theta))
-    path = tmp_path / "trace.csv"
-    b.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "theta,arclength,value"
-    assert len(lines) == 1 + len(disk_mesh.boundary_idx)
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == 0.0 and abs(first[2] - 1.0) < 1e-12
+    b = np.ones(len(disk_mesh.boundary_idx))
+    assert holder_seminorm(disk_mesh, b, 0.5) == 0.0
 
 
 # -- boundary record and normal/tangential split -----------------------------------------

@@ -208,6 +208,14 @@ def test_missing_domain_file_is_operational_error(tmp_path):
         ({"rho0": 1.0, "modes": []}, ["spectral", "--alpha", "-5"]),
         (None, ["pointwise-identity", "--cases", "0"]),
         (None, ["pointwise-identity", "--cases", "-3"]),
+        ({"rho0": 1.0, "modes": [[2, 0.05, 0.0]]},
+         ["verify-identity", "--identity", "neumann_1_11", "--h-target", "0.2",
+          "--tol", "nan"]),
+        ({"rho0": 1.0, "modes": [[2, 0.05, 0.0]]},
+         ["verify-identity", "--identity", "neumann_1_11", "--h-target", "0.2",
+          "--tol", "inf"]),
+        (None, ["sweep", "--r2-min", "nan"]),
+        (None, ["sweep", "--slope-max", "inf"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):
@@ -218,6 +226,27 @@ def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):
     code = main(["--out", str(tmp_path / "r")] + argv)
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_failed_run_writes_manifest(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["--out", str(out), "pointwise-identity", "--cases", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 1
+    assert manifest["command"] == "pointwise-identity"
+    assert manifest["error"] in err
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_out_that_is_not_a_directory(tmp_path, capsys, sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["--out", str(blocker / sub), "pointwise-identity", "--cases", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert blocker.read_text() == ""
 
 
 def test_help_exits_zero(capsys):

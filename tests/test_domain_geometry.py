@@ -13,7 +13,6 @@ from serrinlab.errors import (
 )
 from serrinlab.geometry import (
     EllipseDomain,
-    boundary_frame,
     build_domain,
     distance_to_boundary,
     domain_from_spec,
@@ -105,18 +104,18 @@ def test_wrong_shape_spec_rejected(make):
 
 
 def test_disk_frame():
-    f = boundary_frame(unit_disk(), 0.0)
-    assert np.allclose(f.point, [1.0, 0.0])
-    assert np.allclose(f.nu, [1.0, 0.0])
-    assert abs(f.kappa - 1.0) < 1e-14
-    assert abs(f.arclength_density - 1.0) < 1e-14
+    point, nu, kappa, speed = unit_disk().frame_arrays(0.0)
+    assert np.allclose(point, [1.0, 0.0])
+    assert np.allclose(nu, [1.0, 0.0])
+    assert abs(kappa - 1.0) < 1e-14
+    assert abs(speed - 1.0) < 1e-14
 
 
 def test_ellipse_vertex_curvatures():
     # oracle: parametric ellipse curvature kappa = ab/(a^2 sin^2 t + b^2 cos^2 t)^{3/2}
     ell = EllipseDomain(2.0, 1.0)
-    assert abs(boundary_frame(ell, 0.0).kappa - 2.0) < 1e-12  # a/b^2
-    assert abs(boundary_frame(ell, np.pi / 2).kappa - 0.25) < 1e-12  # b/a^2
+    assert abs(ell.frame_arrays(0.0)[2] - 2.0) < 1e-12  # a/b^2
+    assert abs(ell.frame_arrays(np.pi / 2)[2] - 0.25) < 1e-12  # b/a^2
 
 
 def test_ellipse_frame_matches_parametric_oracle():
@@ -125,12 +124,12 @@ def test_ellipse_frame_matches_parametric_oracle():
     for t in np.linspace(0.1, 2 * np.pi, 9):
         p = np.array([a * np.cos(t), b * np.sin(t)])
         theta = np.arctan2(p[1], p[0])
-        f = boundary_frame(ell, theta)
-        assert np.allclose(f.point, p, atol=1e-12)
+        point, nu, kappa, _ = ell.frame_arrays(theta)
+        assert np.allclose(point, p, atol=1e-12)
         kap = a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
-        assert abs(f.kappa - kap) < 1e-10
+        assert abs(kappa - kap) < 1e-10
         grad = np.array([p[0] / a**2, p[1] / b**2])
-        assert np.allclose(f.nu, grad / np.linalg.norm(grad), atol=1e-12)
+        assert np.allclose(nu, grad / np.linalg.norm(grad), atol=1e-12)
 
 
 def test_normal_orthogonal_to_tangent():
