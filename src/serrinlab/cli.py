@@ -32,7 +32,9 @@ from .spectral import check_l2_oscillation_bound, eigenvalues
 from .stability import (
     NOISE_FLOOR,
     argmin_point,
+    check_family,
     convergence_study,
+    family_domain,
     geometric_bounds_check,
     identity_reports,
     loglog_fit,
@@ -162,7 +164,7 @@ def _load_domain(args):
 
 def cmd_solve(args, run):
     domain = _load_domain(args)
-    mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
+    mesh = generate_mesh(domain, args.h_target)
     if args.problem == "torsion-dirichlet":
         field = solve_torsion_dirichlet(mesh)
     else:
@@ -200,7 +202,7 @@ def cmd_verify_identity(args, run):
         if z.shape != (2,):
             raise InvalidSpec(f"--z needs 'auto' or two numbers x,y, got {args.z!r}")
     domain = _load_domain(args)
-    mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
+    mesh = generate_mesh(domain, args.h_target)
     reports = identity_reports(mesh, args.identity, z)
     status = PASS
     for rep in reports:
@@ -233,7 +235,7 @@ def cmd_pointwise_identity(args, run):
 
 def cmd_spectral(args, run):
     domain = _load_domain(args)
-    mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
+    mesh = generate_mesh(domain, args.h_target)
     nu, sig = eigenvalues(mesh)
     data = {
         "nu2": nu.value,
@@ -256,7 +258,6 @@ def cmd_sweep(args, run):
         amplitudes,
         h_target=args.h_target,
         alpha=args.alpha,
-        workers=args.workers,
     )
     header = [
         "epsilon", "rho_gap", "osc_gamma_u", "grad_inf", "grad_l2",
@@ -307,7 +308,7 @@ def cmd_sweep(args, run):
 
 def cmd_check_bounds(args, run):
     domain = _load_domain(args)
-    mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
+    mesh = generate_mesh(domain, args.h_target)
     u = solve_torsion_neumann(mesh)
     gb = geometric_bounds_check(u)
     ob = oscillation_bound_check(u, alpha=args.alpha)
@@ -330,18 +331,11 @@ def cmd_check_bounds(args, run):
 
 
 def cmd_strong_deviation(args, run):
-    if args.amplitudes:
-        cases = [
-            (eps, domain_from_spec({"rho0": 1.0, "modes": [[args.mode, eps, 0.0]]}))
-            for eps in _numbers(args.amplitudes, "--amplitudes", float)
-        ]
-    elif args.domain is not None:
-        cases = [(0.0, _load_domain(args))]
-    else:
-        raise InvalidSpec("strong-deviation needs --amplitudes or --domain")
+    amplitudes = _numbers(args.amplitudes, "--amplitudes", float)
+    check_family(args.mode, amplitudes, 3)   # the flux slope is fitted over 3+ points
     rows = []
-    for eps, domain in cases:
-        mesh = generate_mesh(domain, args.h_target, dof_cap=args.dof_cap)
+    for eps in amplitudes:
+        mesh = generate_mesh(family_domain(args.mode, eps), args.h_target)
         rep = strong_deviation_pipeline(solve_torsion_neumann(mesh), alpha=args.alpha)
         rows.append((eps, rep))
     header = [
@@ -357,28 +351,23 @@ def cmd_strong_deviation(args, run):
             for e, r in rows
         ],
     )
-    status = PASS
-    if len(rows) >= 3:
-        slope, _, _ = loglog_fit(
-            [e for e, _ in rows], [r.flux_deviation_l2 for _, r in rows]
-        )
-        ratios = [r.ratio for _, r in rows if np.isfinite(r.ratio)]
-        spread = max(ratios) / min(ratios) if ratios else float("inf")
-        run.write_json(
-            "strong_deviation_summary.json",
-            {"flux_slope": slope, "ratio_spread": spread},
-        )
-        if abs(slope - 1.0) > 0.2 or spread > 5.0:
-            status = CONTRACT_FAIL
-    return run.finish(status)
+    slope, _, _ = loglog_fit(
+        [e for e, _ in rows], [r.flux_deviation_l2 for _, r in rows]
+    )
+    ratios = [r.ratio for _, r in rows if np.isfinite(r.ratio)]
+    spread = max(ratios) / min(ratios) if ratios else float("inf")
+    run.write_json(
+        "strong_deviation_summary.json",
+        {"flux_slope": slope, "ratio_spread": spread},
+    )
+    ok = abs(slope - 1.0) <= 0.2 and spread <= 5.0
+    return run.finish(PASS if ok else CONTRACT_FAIL)
 
 
 def cmd_convergence(args, run):
     domain = _load_domain(args)
     h_list = _numbers(args.h_list, "--h-list", float)
-    rows, order, flag = convergence_study(
-        domain, args.identity, h_list, dof_cap=args.dof_cap
-    )
+    rows, order, flag = convergence_study(domain, args.identity, h_list)
     data = {
         "identity": args.identity,
         "anchor": ANCHORS[args.identity],
@@ -413,7 +402,6 @@ def build_parser():
         if domain:
             sp.add_argument("--domain", required=True, help="domain spec JSON path")
         sp.add_argument("--h-target", dest="h_target", type=_finite_float, default=0.05)
-        sp.add_argument("--dof-cap", dest="dof_cap", type=int, default=None)
         if alpha:
             sp.add_argument("--alpha", type=_finite_float, default=0.5)
 
@@ -450,7 +438,6 @@ def build_parser():
     common(sp, domain=False, alpha=True)
     sp.add_argument("--mode", type=int, default=2)
     sp.add_argument("--amplitudes", default="0.0125,0.025,0.05,0.1")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--slope-min", dest="slope_min", type=_finite_float, default=0.85)
     sp.add_argument("--slope-max", dest="slope_max", type=_finite_float, default=1.3)
     sp.add_argument("--r2-min", dest="r2_min", type=_finite_float, default=0.98)
@@ -462,13 +449,12 @@ def build_parser():
 
     sp = sub.add_parser("strong-deviation", help="harmonic-split pipeline")
     common(sp, domain=False, alpha=True)
-    sp.add_argument("--domain", help="domain spec JSON (single-domain mode)")
     sp.add_argument("--mode", type=int, default=2)
-    sp.add_argument("--amplitudes", default="")
+    sp.add_argument("--amplitudes", required=True)
     sp.set_defaults(func=cmd_strong_deviation)
 
     sp = sub.add_parser("convergence", help="identity residual vs mesh level")
-    common(sp)
+    sp.add_argument("--domain", required=True, help="domain spec JSON path")
     sp.add_argument("--identity", required=True, choices=sorted(ANCHORS))
     sp.add_argument("--h-list", dest="h_list", default="0.1,0.05,0.025")
     sp.set_defaults(func=cmd_convergence)

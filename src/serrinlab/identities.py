@@ -36,6 +36,7 @@ from .geometry import radii_about
 from .meshfem import SOURCE, FemField, quad_integral, recovered_hessian_at_quad
 
 RESIDUAL_FLOOR = 1e-14
+RIGIDITY_TOL = 1e-6   # rigidity_test counts an identity side at most this as <= 0
 
 
 @dataclass
@@ -127,8 +128,8 @@ def flux_constant(field):
     return field.mesh.domain.measures.R if R is None else R
 
 
-def paraboloid_field(mesh, z, a=0.0) -> FemField:
-    """The paraboloid q(x) = |x - z|^2 / 2 + a as a field.
+def paraboloid_field(mesh, z) -> FemField:
+    """The paraboloid q(x) = |x - z|^2 / 2 as a field.
 
     Nodal coefficients are the interpolant; derivative queries use the
     closed forms (gradient x - z, unit Hessian), so identity evaluations
@@ -136,7 +137,7 @@ def paraboloid_field(mesh, z, a=0.0) -> FemField:
     """
     z = np.asarray(z, dtype=float)
     rel = mesh.nodes - z
-    f = FemField(mesh, 0.5 * (rel**2).sum(1) + a, kind="generic")
+    f = FemField(mesh, 0.5 * (rel**2).sum(1), kind="generic")
     f.analytic_gradient = lambda pts: np.asarray(pts) - z
     f.analytic_hessian = lambda pts: np.broadcast_to(
         np.array([1.0, 1.0, 0.0]), (len(pts), 3)
@@ -238,13 +239,11 @@ def eval_general_identity(u_field, v_field) -> IdentityReport:
     return _report("general_1_9", terms, lhs, rhs, mesh)
 
 
-def eval_mother_identity(u_field, z, a=0.0):
+def eval_mother_identity(u_field, z):
     """Both forms of the paraboloid specialization (v = q), as a pair.
 
-    The offset a enters only through the additive constant of q, which no
-    term consumes; reports record it for provenance.  The two forms differ
-    by the exact gradient decomposition, so their residuals agree to
-    roundoff.
+    The two forms differ by the exact gradient decomposition, so their
+    residuals agree to roundoff.
     """
     audit_torsion(u_field)
     mesh = u_field.mesh
@@ -256,7 +255,7 @@ def eval_mother_identity(u_field, z, a=0.0):
 
     s_hess = bu.integrate(bu.f * bu.hess_flux)
     s_datum = bu.integrate(bu.f * (bu.u_nu - SOURCE * q_nu))
-    extras = {"z": list(np.asarray(z, dtype=float)), "a": float(a)}
+    extras = {"z": list(np.asarray(z, dtype=float))}
 
     # first form: squared full gradients against (u_nu + q_nu)
     m_energy = 0.5 * bu.integrate(bu.grad_sq * (bu.u_nu + q_nu))
@@ -323,7 +322,7 @@ def eval_neumann_identity(u_field, z) -> IdentityReport:
     return _report("neumann_1_11", terms, volume, t1 + t2 + t3, mesh, extras)
 
 
-def eval_classical_identity(u_field, z, a=0.0) -> IdentityReport:
+def eval_classical_identity(u_field, z) -> IdentityReport:
     """Constant-trace identity:
 
       int (ubar-u) dP = 1/2 int_G (u_nu^2 - R^2)(u_nu - q_nu).
@@ -347,7 +346,6 @@ def eval_classical_identity(u_field, z, a=0.0) -> IdentityReport:
              "flux_balance": flux_balance}
     extras = {
         "z": list(np.asarray(z, dtype=float)),
-        "a": float(a),
         "R": float(R),
         "osc_trace": float(osc_trace),
     }
@@ -365,7 +363,7 @@ class RigidityVerdict:
     implication_ok: bool
 
 
-def rigidity_test(u_field, z, tol=1e-6) -> RigidityVerdict:
+def rigidity_test(u_field, z) -> RigidityVerdict:
     """Spherical-rigidity verdict from the constant-flux identity.
 
     A non-positive right-hand side forces the volume term to vanish, which
@@ -376,14 +374,14 @@ def rigidity_test(u_field, z, tol=1e-6) -> RigidityVerdict:
     s = rep.rhs
     V = rep.lhs
     rho_i, rho_e = radii_about(u_field.mesh.domain, z)
-    rhs_nonpositive = s <= tol
-    v_small = V <= tol
+    rhs_nonpositive = s <= RIGIDITY_TOL
+    v_small = V <= RIGIDITY_TOL
     return RigidityVerdict(
         rhs_value=s,
         volume_value=V,
         rhs_nonpositive=rhs_nonpositive,
         v_small=v_small,
         sphere_deviation=rho_e - rho_i,
-        tol=tol,
+        tol=RIGIDITY_TOL,
         implication_ok=(not rhs_nonpositive) or v_small,
     )

@@ -276,20 +276,19 @@ def _merge_strip(inner_idx, outer_idx):
     return tris
 
 
-def generate_mesh(domain, h_target, dof_cap=None):
+def generate_mesh(domain, h_target):
     """Triangulate a radial domain with target edge length h_target.
 
     Raises MeshTooFine when the estimated quadratic dof count exceeds the
-    cap (default 400k, overridable via SERRINLAB_DOF_CAP).
+    cap: SERRINLAB_DOF_CAP if set, else 400k.
     """
     if not 0.0 < h_target < domain.rho0:
         raise InvalidSpec(f"h_target must lie in (0, rho0), got {h_target}")
-    if dof_cap is None:
-        text = os.environ.get("SERRINLAB_DOF_CAP", DEFAULT_DOF_CAP)
-        try:
-            dof_cap = int(text)
-        except ValueError:
-            raise InvalidSpec(f"SERRINLAB_DOF_CAP is not an integer: {text!r}") from None
+    text = os.environ.get("SERRINLAB_DOF_CAP", DEFAULT_DOF_CAP)
+    try:
+        dof_cap = int(text)
+    except ValueError:
+        raise InvalidSpec(f"SERRINLAB_DOF_CAP is not an integer: {text!r}") from None
 
     probe = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     r_max = float(domain.radius(probe).max())
@@ -728,49 +727,7 @@ def quad_points(mesh, degree=VOLUME_DEGREE):
     return mesh.element_ops(degree)["qp"]
 
 
-# -- point location and evaluation -------------------------------------------
-
-def locate_point(mesh, x, tol=1e-10):
-    """Find (element, reference coords) containing physical point x."""
-    x = np.asarray(x, dtype=float)
-    d = np.linalg.norm(mesh.nodes[: mesh.n_vertices] - x, axis=1)
-    near = mesh.node_elements[np.argsort(d)[:4]].indices
-    _, first = np.unique(near, return_index=True)
-    best = None
-    for e in near[np.sort(first)].tolist():   # nearest vertex's elements first
-        ref = _invert_map(mesh, e, x)
-        if ref is None:
-            continue
-        lam = np.array([1 - ref[0] - ref[1], ref[0], ref[1]])
-        short = -lam.min()
-        if short < tol:
-            return e, ref
-        if best is None or short < best[0]:
-            best = (short, e, ref)
-    if best is not None and best[0] < 1e-6:
-        return best[1], best[2]
-    raise ValueError(f"point {x} not located in mesh")
-
-
-def _invert_map(mesh, elem, x, iters=30):
-    coords = mesh.nodes[mesh.triangles[elem]]
-    ref = np.array([1 / 3, 1 / 3])
-    for _ in range(iters):
-        N = p2_shape(ref[None, :])[0]
-        dN = p2_dshape(ref[None, :])[0]
-        pos = N @ coords
-        J = np.einsum("nk,nd->dk", coords, dN)
-        try:
-            step = np.linalg.solve(J.T, x - pos)
-        except np.linalg.LinAlgError:
-            return None
-        ref = ref + step
-        if np.linalg.norm(step) < 1e-14:
-            break
-        if np.abs(ref).max() > 3:
-            return None
-    return ref
-
+# -- point evaluation -------------------------------------------------------
 
 def eval_gradient(field, elem, ref):
     coords = field.mesh.nodes[field.mesh.triangles[elem]]

@@ -110,7 +110,7 @@ class OscillationL2Report:
     h_mean_boundary: float
 
 
-def check_l2_oscillation_bound(u_field, z, a=0.0) -> OscillationL2Report:
+def check_l2_oscillation_bound(u_field, z) -> OscillationL2Report:
     """Volume-L2 bound on h = q - u by its flux deviation:
 
         || h - mean(h) ||_{2, Omega} <= 2 || R - q_nu ||_{2, Gamma}
@@ -122,7 +122,7 @@ def check_l2_oscillation_bound(u_field, z, a=0.0) -> OscillationL2Report:
     """
     audit_neumann(u_field)
     mesh = u_field.mesh
-    h = paraboloid_field(mesh, z, a).coeffs - u_field.coeffs
+    h = paraboloid_field(mesh, z).coeffs - u_field.coeffs
     area = volume_integral(mesh, lambda p: np.ones(len(p)))
     h_mean = volume_integral(mesh, h) / area
     dev = h - h_mean

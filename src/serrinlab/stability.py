@@ -13,7 +13,6 @@ levels.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
@@ -44,7 +43,6 @@ from .meshfem import (
     _memo,
     eval_gradient,
     generate_mesh,
-    locate_point,
     p2_dshape,
     p2_shape,
     quad_integral,
@@ -59,6 +57,8 @@ RIGID_GAP_FLOOR = 1e-10
 NOISE_FLOOR = 1e-8   # identity terms below this are rigid-case noise
 REL_FLOOR = 1e-6     # relative residuals below this are converged noise
 ARGMIN_TIE_TOL = 1e-11
+GRAD_TOL = 1e-3      # largest |grad h| accepted at the minimum point
+SWEEP_FIT_MIN = 4    # non-rigid records an exponent fit needs
 
 
 # -- the stability profile ----------------------------------------------------
@@ -268,26 +268,22 @@ class OscillationBoundReport:
     rigid: bool
 
 
-def oscillation_bound_check(u_field, z=None, alpha=DEFAULT_ALPHA,
-                            grad_tol=1e-3) -> OscillationBoundReport:
+def oscillation_bound_check(u_field, alpha=DEFAULT_ALPHA) -> OscillationBoundReport:
     """Oscillation-of-h diagnostics about the minimum point z.
 
     Requires grad h(z) ~ 0 (z a joint critical point of u and the
-    paraboloid); raises GradientNotZeroAtZ otherwise.  Ratios are reported
-    raw; sweeps assert their boundedness, not paper constants.
+    paraboloid); raises GradientNotZeroAtZ when |grad u(z)| exceeds
+    GRAD_TOL.  Ratios are reported raw; sweeps assert their boundedness,
+    not paper constants.
     """
     audit_neumann(u_field)
     mesh = u_field.mesh
-    if z is None:
-        res = argmin_point(u_field)
-        z, elem, ref = res.z, res.element, res.ref
-    else:
-        z = np.asarray(z, dtype=float)
-        elem, ref = locate_point(mesh, z)
-    gu = eval_gradient(u_field, elem, ref)
-    if np.linalg.norm(gu) > grad_tol:
+    res = argmin_point(u_field)
+    z = res.z
+    gu = eval_gradient(u_field, res.element, res.ref)
+    if np.linalg.norm(gu) > GRAD_TOL:
         raise GradientNotZeroAtZ(
-            f"|grad h(z)| = {np.linalg.norm(gu):.3g} exceeds {grad_tol}"
+            f"|grad h(z)| = {np.linalg.norm(gu):.3g} exceeds {GRAD_TOL}"
         )
 
     tr = trace(u_field)
@@ -363,15 +359,34 @@ def loglog_fit(x, y):
     return float(slope), float(intercept), r2
 
 
-def _richardson(fine, coarse, p=2):
-    return fine + (fine - coarse) / (2.0**p - 1.0)
+def _richardson(fine, coarse):
+    """Second-order extrapolation from mesh levels h and h/2."""
+    return fine + (fine - coarse) / 3.0
 
 
-def sweep_member(mode, epsilon, rho0, h_target, alpha=DEFAULT_ALPHA):
+def family_domain(mode, epsilon):
+    """Member r = 1 + epsilon cos(mode theta) of the unit-disk perturbation family."""
+    return build_domain(1.0, [(mode, epsilon, 0.0)] if epsilon else [])
+
+
+def check_family(mode, amplitudes, n_fit):
+    """Raise InvalidSpec for a perturbation family that cannot be fitted: a
+    mode below 1, an amplitude that is not positive, or fewer than n_fit
+    distinct amplitudes.  Callers run it before any meshing."""
+    if mode < 1:
+        raise InvalidSpec(f"perturbation mode must be at least 1, got {mode}")
+    bad = [e for e in amplitudes if not e > 0]
+    if bad:
+        raise InvalidSpec(f"amplitudes must be positive, got {bad}")
+    if len(set(amplitudes)) < n_fit:
+        raise InvalidSpec(f"the fit needs {n_fit} distinct amplitudes, got {amplitudes}")
+
+
+def sweep_member(mode, epsilon, h_target, alpha=DEFAULT_ALPHA):
     """One sweep record: solve at two mesh levels, Richardson-extrapolate."""
     flags = []
     per_level = []
-    domain = build_domain(rho0, [(mode, epsilon, 0.0)] if epsilon else [])
+    domain = family_domain(mode, epsilon)
     for h in (h_target, 0.5 * h_target):
         u = solve_torsion_neumann(generate_mesh(domain, h))
         res = argmin_point(u)
@@ -407,32 +422,23 @@ def sweep_member(mode, epsilon, rho0, h_target, alpha=DEFAULT_ALPHA):
     )
 
 
-def _sweep_worker(args):
-    mode, eps, rho0, h_target, alpha = args
-    return sweep_member(mode, eps, rho0, h_target, alpha)
-
-
-def stability_sweep(mode, amplitudes, rho0=1.0, h_target=0.05,
-                    alpha=DEFAULT_ALPHA, workers=1) -> SweepResult:
-    """Perturbation-family sweep with empirical exponent fits.
+def stability_sweep(mode, amplitudes, h_target=0.05,
+                    alpha=DEFAULT_ALPHA) -> SweepResult:
+    """Perturbation-family sweep of the unit disk with empirical exponent fits.
 
     One record per amplitude (Richardson over two mesh levels); log-log
     fits of rho_gap against each deviation kind over the non-rigid records;
     c_fit is the single constant of the one-sided profile bound
     rho_gap <= c_fit * psi(uniform deviation).
     """
-    jobs = [(mode, float(e), rho0, h_target, alpha) for e in amplitudes]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_worker, jobs))
-    else:
-        records = [_sweep_worker(j) for j in jobs]
+    check_family(mode, amplitudes, SWEEP_FIT_MIN)
+    records = [sweep_member(mode, float(e), h_target, alpha) for e in amplitudes]
     records.sort(key=lambda r: r.epsilon)
 
     usable = [r for r in records if "rigid" not in r.flags]
     dropped = [r.epsilon for r in records if "rigid" in r.flags]
     fits = {}
-    if len(usable) >= 4:
+    if len(usable) >= SWEEP_FIT_MIN:
         gaps = [r.rho_gap for r in usable]
         kinds = [r.deviations.kinds() for r in usable]
         for kind in kinds[0]:
@@ -471,7 +477,7 @@ def identity_reports(mesh, identity_id, z=None):
     return list(eval_mother_identity(u, z))
 
 
-def convergence_study(domain, identity_id, h_list, dof_cap=None):
+def convergence_study(domain, identity_id, h_list):
     """Identity residuals over mesh levels with a fitted order.
 
     Returns (rows, fitted_order, flag); flag is "rigid" when every identity
@@ -484,7 +490,7 @@ def convergence_study(domain, identity_id, h_list, dof_cap=None):
         raise InvalidSpec(f"need at least 3 distinct mesh levels, got {h_list}")
     rows = []
     for h in h_list:
-        reports = identity_reports(generate_mesh(domain, h, dof_cap=dof_cap), identity_id)
+        reports = identity_reports(generate_mesh(domain, h), identity_id)
         rep = next(r for r in reports if r.identity_id == identity_id)
         rows.append(
             {

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import serrinlab
+from serrinlab import cli
 from serrinlab.cli import main
 from serrinlab.geometry import EllipseDomain, build_domain
 from serrinlab.meshfem import generate_mesh, solve_torsion_neumann
@@ -80,12 +83,37 @@ def test_verify_identity_general_matches_convergence_row(tmp_path, pdisk_spec):
 def test_cli_import_does_not_load_scipy_spatial():
     src = str(Path(serrinlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, serrinlab.cli; print('scipy.spatial' in sys.modules)"
+    probe = (
+        "import sys, serrinlab.cli; "
+        "print('scipy.spatial' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def test_every_flag_is_read():
+    # an option whose value no code reads is silently ignored by the run
+    sub = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    load_domain = inspect.getsource(cli._load_domain)
+    ignored = []
+    for name, parser in sub.choices.items():
+        body = inspect.getsource(parser.get_default("func"))
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            read = f"args.{action.dest}"
+            if read in body or (
+                "_load_domain(args)" in body and read in load_domain
+            ):
+                continue
+            ignored.append((name, action.option_strings[0]))
+    assert ignored == []
 
 
 def test_verify_identity_rigid(tmp_path, disk_spec):
@@ -216,6 +244,13 @@ def test_missing_domain_file_is_operational_error(tmp_path):
           "--tol", "inf"]),
         (None, ["sweep", "--r2-min", "nan"]),
         (None, ["sweep", "--slope-max", "inf"]),
+        (None, ["sweep", "--amplitudes", "0.01,0.02,0.04", "--h-target", "0.3"]),
+        (None, ["sweep", "--mode", "0", "--h-target", "0.3"]),
+        (None, ["sweep", "--mode", "-2", "--h-target", "0.3"]),
+        (None, ["strong-deviation", "--amplitudes", "0.05,0.1", "--h-target", "0.3"]),
+        (None, ["strong-deviation", "--amplitudes", "0,0.05,0.1", "--h-target", "0.3"]),
+        (None, ["strong-deviation", "--amplitudes=-0.05,-0.1,-0.2", "--h-target", "0.3"]),
+        (None, ["sweep", "--dof-cap", "10", "--h-target", "0.3"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):
@@ -285,12 +320,15 @@ def test_convergence_study_perturbed_neumann():
 
 
 def test_dof_cap_env_var(tmp_path, disk_spec, monkeypatch):
+    # the variable is the only cap, so every meshing path must honour it
     monkeypatch.setenv("SERRINLAB_DOF_CAP", "100")
-    code = main(
-        ["--out", str(tmp_path / "r"), "solve", "--domain", disk_spec,
-         "--h-target", "0.1"]
-    )
-    assert code == 1
+    for argv in (
+        ["solve", "--domain", disk_spec, "--h-target", "0.1"],
+        ["sweep", "--h-target", "0.1"],
+        ["strong-deviation", "--amplitudes", "0.05,0.1,0.2", "--h-target", "0.1"],
+        ["convergence", "--identity", "general_1_9", "--domain", disk_spec],
+    ):
+        assert main(["--out", str(tmp_path / argv[0])] + argv) == 1, argv[0]
 
 
 def test_dof_cap_env_var_not_integer(tmp_path, disk_spec, monkeypatch, capsys):

@@ -104,13 +104,6 @@ def test_mother_ellipse_oracle(ellipse_dirichlet):
     assert rep_a.rel_residual <= 5e-3
 
 
-def test_mother_offset_invariance(ellipse_dirichlet):
-    rep_a, _ = eval_mother_identity(ellipse_dirichlet, (0.0, 0.0), a=0.0)
-    rep_c, _ = eval_mother_identity(ellipse_dirichlet, (0.0, 0.0), a=-3.7)
-    for k in rep_a.terms:
-        assert abs(rep_a.terms[k] - rep_c.terms[k]) <= 1e-12
-
-
 def test_general_specializes_to_mother(ellipse_dirichlet, pdisk_neumann):
     for f, z in ((ellipse_dirichlet, (0.0, 0.0)), (pdisk_neumann, (0.05, 0.02))):
         rep_a, _ = eval_mother_identity(f, z)

@@ -1,4 +1,3 @@
-import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from serrinlab.polycheck import (
     check_pfunction_identity,
     delta_p,
     harmonic_basis,
-    identity_case_table,
     is_quadratic_radial,
     quadratic_core,
     random_rational_points,
@@ -157,12 +155,3 @@ def test_polynomial_ring_laws(case):
         results.append(lhs)
     for r in results:
         assert all(c != 0 for c in r.terms.values())
-
-
-def test_case_table_runtime_and_passes():
-    t0 = time.time()
-    rows = identity_case_table((2, 3, 4, 5), 4, 20)
-    elapsed = time.time() - t0
-    assert all(r["residual_is_zero"] for r in rows)
-    assert len(rows) == 80
-    assert elapsed < 60.0

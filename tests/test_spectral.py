@@ -113,11 +113,3 @@ def test_oscillation_bound_perturbed_levels(pdisk):
         rep = check_l2_oscillation_bound(u, (0.0, 0.0))
         assert rep.slack >= -1e-6
         assert abs(rep.h_mean_volume - rep.h_mean_boundary) < 0.1
-
-
-def test_oscillation_bound_offset_invariance(disk_neumann):
-    # the additive constant of the paraboloid cancels against both means
-    a0 = check_l2_oscillation_bound(disk_neumann, (0.3, 0.0), a=0.0)
-    a1 = check_l2_oscillation_bound(disk_neumann, (0.3, 0.0), a=12.5)
-    assert abs(a0.lhs - a1.lhs) < 1e-10
-    assert abs(a0.rhs - a1.rhs) < 1e-12
