@@ -4,6 +4,8 @@ Triangle rules are stored as barycentric points with weights summing to 1;
 integrals are computed as  |T| * sum(w_q * f(x_q))  per element.
 """
 
+import itertools
+
 import numpy as np
 
 # Dunavant degree-4 rule, 6 points. Exact for polynomials of degree <= 4.
@@ -15,7 +17,7 @@ _D4_GROUPS = [
 # Dunavant degree-8 rule, 16 points, all weights positive.
 _D8_GROUPS = [
     (0.144315607677787, (1 / 3, 1 / 3, 1 / 3)),
-    (0.095091634413462, (0.081414823414554, 0.459292588292723, 0.459292588292723)),
+    (0.095091634267285, (0.081414823414554, 0.459292588292723, 0.459292588292723)),
     (0.103217370534718, (0.658861384496480, 0.170569307751760, 0.170569307751760)),
     (0.032458497623198, (0.898905543365938, 0.050547228317031, 0.050547228317031)),
     (0.027230314174435, (0.008394777409958, 0.263112829634638, 0.728492392955404)),
@@ -26,7 +28,6 @@ def _expand(groups):
     pts, wts = [], []
     for w, bary in groups:
         seen = set()
-        import itertools
         for perm in itertools.permutations(bary):
             if perm in seen:
                 continue

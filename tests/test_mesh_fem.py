@@ -1,3 +1,5 @@
+import itertools
+import math
 import time
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fit_order, h1_seminorm_error, l2_error
-from serrinlab._quadrature import triangle_rule
+from serrinlab._quadrature import _D4_GROUPS, _D8_GROUPS, triangle_rule
 from serrinlab.errors import MeshTooFine, NonPositiveRadius, NotStarShaped
 from serrinlab.geometry import build_domain, domain_from_spec
 from serrinlab.meshfem import (
@@ -132,6 +134,28 @@ def test_mesh_numbering_matches_dict_loop(disk, pdisk, ellipse):
         for name, want in ref.items():
             got = getattr(mesh, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+# -- quadrature ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("groups", [_D4_GROUPS, _D8_GROUPS], ids=["D4", "D8"])
+def test_triangle_rule_table_weights_sum_to_one(groups):
+    # the expansion renormalizes the weights, which would hide a mistyped one
+    total = sum(w * len(set(itertools.permutations(bary))) for w, bary in groups)
+    assert abs(total - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("degree", [4, 8])
+def test_triangle_rule_integrates_monomials(degree):
+    # integral of xi^a eta^b over the reference triangle is a! b! / (a+b+2)!
+    bary, w = triangle_rule(degree)
+    xi, eta = bary[:, 1], bary[:, 2]
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+            got = 0.5 * w @ (xi**a * eta**b)
+            assert abs(got - exact) <= 1e-14 * exact, (a, b)
 
 
 def _per_element_rel(got, want):
