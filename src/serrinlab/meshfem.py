@@ -14,7 +14,13 @@ mean; that one factor per mesh is cached and shared with the eigen-solvers.
 Every system takes a single LU solve; the source-problem solves check
 their normwise backward error.
 
-Element operators are batched matrix products over all elements.  The
+Stiffness and mass take the exact rule of each element class.  Affine
+elements (no boundary-edge midnode, so every midnode at its edge midpoint)
+get the closed forms detJ * sum_de C_de S_de and detJ * M_ref from 6x6
+reference matrices, one matrix product over the mesh; only the curved
+boundary layer is integrated by the degree-8 rule, with operators built for
+those elements alone.  Volume integrals use the degree-4 operators of every
+element, batched matrix products memoized per mesh.  The
 node -> element incidence is one cached CSR matrix (`Mesh.node_elements`);
 patch recovery of second derivatives reads its patches from it and fits
 every node in one batched least-squares solve per block of nodes.
@@ -34,7 +40,7 @@ from .errors import DegeneratePatch, InvalidSpec, MeshTooFine, SolverFailure
 SOURCE = 2.0          # constant Laplacian of the torsion field in the plane
 DEFAULT_DOF_CAP = 400_000
 BOUNDARY_REFINE = 4   # angular refinement factor of the outermost rings
-ASSEMBLY_DEGREE = 8   # quadrature degree for matrix assembly
+ASSEMBLY_DEGREE = 8   # quadrature degree of K and M on curved elements only
 VOLUME_DEGREE = 4     # quadrature degree for volume_integral
 
 _FAN_MAX = 24         # spoke cap keeping fan apex angles fat
@@ -131,6 +137,31 @@ def _inverse_jacobian(J):
     return detJ, inv / detJ[..., None, None]
 
 
+def _quad_ops(coords, degree):
+    """Operators of the triangle rule of the given degree on the elements
+    with node coordinates coords (T,6,2)."""
+    bary, w = triangle_rule(degree)
+    ref = bary[:, 1:]  # (xi, eta) = (lambda2, lambda3)
+    N = p2_shape(ref)
+    dN = p2_dshape(ref)
+    J = np.swapaxes(dN, 1, 2) @ coords[:, None]    # (T,Q,2,2)
+    detJ, inv = _inverse_jacobian(J)
+    return {"w": w, "N": N, "detJ": detJ, "grad": dN @ inv, "qp": N @ coords}
+
+
+@functools.cache
+def _reference_matrices():
+    """Reference stiffness blocks [S00, S11, S01 + S10] (3,36) and mass (36,),
+    S_de = integral of dN_d dN_e^T over the reference triangle.  The degree-4
+    rule is exact for both integrands (degree 2 and 4).  Built on first use:
+    importing the module does no numerics."""
+    bary, w = triangle_rule(4)
+    N, dN = p2_shape(bary[:, 1:]), p2_dshape(bary[:, 1:])
+    S = 0.5 * np.einsum("q,qid,qje->deij", w, dN, dN)
+    M = 0.5 * np.einsum("q,qi,qj->ij", w, N, N)
+    return np.stack([S[0, 0], S[1, 1], S[0, 1] + S[1, 0]]).reshape(3, 36), M.ravel()
+
+
 # -- mesh -------------------------------------------------------------------
 
 class Mesh:
@@ -160,14 +191,18 @@ class Mesh:
     @_memo
     def element_ops(self, degree):
         """Element operators of the triangle rule of the given degree."""
-        bary, w = triangle_rule(degree)
-        ref = bary[:, 1:]  # (xi, eta) = (lambda2, lambda3)
-        N = p2_shape(ref)
-        dN = p2_dshape(ref)
-        coords = self.nodes[self.triangles]            # (T,6,2)
-        J = np.swapaxes(dN, 1, 2) @ coords[:, None]    # (T,Q,2,2)
-        detJ, inv = _inverse_jacobian(J)
-        return {"w": w, "N": N, "detJ": detJ, "grad": dN @ inv, "qp": N @ coords}
+        return _quad_ops(self.nodes[self.triangles], degree)
+
+    @property
+    def curved(self):
+        """Indices of the elements holding a boundary-edge midnode.  Every
+        other element is affine: its midnodes sit at its edge midpoints."""
+        return np.flatnonzero(self.boundary_mask[self.triangles[:, 3:]].any(axis=1))
+
+    def vertex_jacobian(self):
+        """(detJ, inv) of the affine map through each element's vertices."""
+        v = self.nodes[self.triangles[:, :3]]
+        return _inverse_jacobian(np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=1))
 
     @property
     @_memo
@@ -387,7 +422,19 @@ def generate_mesh(domain, h_target):
 
 @_memo
 def assemble_stiffness(mesh):
-    return _scatter(mesh, _element_stiffness(mesh.element_ops(ASSEMBLY_DEGREE)))
+    """K: Ke = detJ (C00 S00 + C11 S11 + C01 (S01 + S10)), C = inv inv^T, on
+    the affine elements; the degree-8 rule on the curved ones."""
+    detJ, inv = mesh.vertex_jacobian()
+    C = inv @ np.swapaxes(inv, 1, 2)
+    coef = detJ[:, None] * np.stack([C[:, 0, 0], C[:, 1, 1], C[:, 0, 1]], axis=1)
+    Ke = (coef @ _reference_matrices()[0]).reshape(-1, 6, 6)
+    Ke[mesh.curved] = _element_stiffness(_curved_ops(mesh))
+    return _scatter(mesh, Ke)
+
+
+def _curved_ops(mesh):
+    """Degree-8 operators of the curved elements alone."""
+    return _quad_ops(mesh.nodes[mesh.triangles[mesh.curved]], ASSEMBLY_DEGREE)
 
 
 def _element_stiffness(ops):
@@ -403,8 +450,14 @@ def _element_stiffness(ops):
 
 @_memo
 def assemble_mass(mesh):
-    ops = mesh.element_ops(ASSEMBLY_DEGREE)
-    Me = 0.5 * np.einsum("q,tq,qi,qj->tij", ops["w"], ops["detJ"], ops["N"], ops["N"])
+    """M: Me = detJ M_ref on the affine elements; the degree-8 rule on the
+    curved ones."""
+    detJ, _ = mesh.vertex_jacobian()
+    Me = np.outer(detJ, _reference_matrices()[1]).reshape(-1, 6, 6)
+    ops = _curved_ops(mesh)
+    Me[mesh.curved] = 0.5 * np.einsum(
+        "q,tq,qi,qj->tij", ops["w"], ops["detJ"], ops["N"], ops["N"]
+    )
     return _scatter(mesh, Me)
 
 
@@ -494,9 +547,7 @@ class RecoveredDerivatives:
 def _element_hessians(field):
     """Constant per-element Hessian from the affine part of the map."""
     mesh = field.mesh
-    v = mesh.nodes[mesh.triangles[:, :3]]
-    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=1)  # (T,2,2)
-    _, inv = _inverse_jacobian(J)
+    _, inv = mesh.vertex_jacobian()
     c = field.coeffs[mesh.triangles]               # (T,6)
     h_ref = c @ _P2_D2                             # (T,3): xx, yy, xy in ref coords
     Href = np.empty((len(c), 2, 2))

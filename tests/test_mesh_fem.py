@@ -21,6 +21,7 @@ from serrinlab.meshfem import (
     _element_stiffness,
     _inverse_jacobian,
     _recover,
+    _scatter,
     assemble_mass,
     assemble_stiffness,
     boundary_load_vector,
@@ -183,6 +184,43 @@ def test_element_operators_match_einsum(pdisk, ellipse):
             "q,tq,tqik,tqjk->tij", ops["w"], ops["detJ"], ops["grad"], ops["grad"]
         )
         assert _per_element_rel(_element_stiffness(ops), Ke) <= 1e-12
+
+
+def _assert_matches_all_degree8(mesh):
+    """K and M equal the degree-8 rule on every element to 1e-12 of max entry."""
+    ops = mesh.element_ops(8)
+    K8 = _scatter(mesh, _element_stiffness(ops))
+    M8 = _scatter(
+        mesh, 0.5 * np.einsum("q,tq,qi,qj->tij", ops["w"], ops["detJ"], ops["N"], ops["N"])
+    )
+    for got, want in ((assemble_stiffness(mesh), K8), (assemble_mass(mesh), M8)):
+        assert abs(got - want).max() <= 1e-12 * abs(want).max()
+
+
+def test_assembly_matches_all_degree8(disk, pdisk, ellipse):
+    for dom in (disk, pdisk, ellipse):
+        _assert_matches_all_degree8(generate_mesh(dom, 0.1))
+
+
+def test_curved_elements_are_the_boundary_edge_layer(disk, pdisk, ellipse):
+    # the closed-form assembly is exact only where the map is affine
+    for dom in (disk, pdisk, ellipse):
+        mesh = generate_mesh(dom, 0.1)
+        tri = mesh.triangles
+        holds = np.isin(tri[:, 3:], mesh.boundary_edges[:, 2]).any(axis=1)
+        assert np.array_equal(mesh.curved, np.flatnonzero(holds))
+        assert len(mesh.curved) == len(mesh.boundary_edges)
+        x = mesh.nodes[tri[~holds]]                    # (T,6,2)
+        for slot, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+            assert np.array_equal(x[:, 3 + slot], 0.5 * (x[:, a] + x[:, b]))
+
+
+def test_assembly_builds_no_whole_mesh_degree8_ops(pdisk):
+    # the (T,16,6,2) degree-8 operators of a whole mesh take 68 MB at h=0.025
+    mesh = generate_mesh(pdisk, 0.1)
+    assemble_stiffness(mesh)
+    assemble_mass(mesh)
+    assert (Mesh.element_ops.__wrapped__, (8,)) not in mesh._cache
 
 
 # -- Dirichlet torsion ---------------------------------------------------------
@@ -493,6 +531,7 @@ def test_mesh_properties(spec, h):
     ops = mesh.element_ops(8)
     area = quad_integral(mesh, np.ones_like(ops["detJ"]), 8)
     assert abs(assemble_mass(mesh).sum() - area) <= 1e-12 * area
+    _assert_matches_all_degree8(mesh)
     pts = mesh.nodes[mesh.boundary_idx]
     r = np.linalg.norm(pts - dom.center, axis=1)
     assert np.abs(r - dom.radius(mesh.boundary_theta)).max() <= 1e-13
