@@ -31,6 +31,7 @@ TORSION_AUDIT_TOL = 0.5      # mean |trace of recovered Hessian - 2|
 NEUMANN_AUDIT_TOL = 0.05     # oscillation of the recovered normal derivative
                              # (flux is only approximate at coarse h)
 DIRICHLET_AUDIT_TOL = 1e-3   # oscillation of the trace (imposed exactly)
+HOLDER_BLOCK = 64            # nodes per block of the Hoelder seminorm search
 
 
 @_memo
@@ -202,19 +203,43 @@ def lemma21_residual(u_field, kind):
 def holder_seminorm(mesh, values, alpha):
     """Discrete Hoelder seminorm of boundary values: max |f_i - f_j| / d_ij^alpha
     over node pairs whose periodic arclength separation d_ij is at least
-    mesh.h_max; 0 < alpha <= 1."""
+    mesh.h_max; 0 < alpha <= 1.
+
+    Exact branch and bound over blocks of HOLDER_BLOCK consecutive nodes:
+    block pairs are scanned in decreasing order of an upper bound of their
+    quotients, osc / d_min^alpha, until no bound left can beat the running
+    maximum, so the value is the one the full O(m^2) scan returns.
+    """
     if not 0.0 < alpha <= 1.0:
         raise InvalidSpec(f"Hoelder exponent must lie in (0, 1], got {alpha}")
     frames = _frames(mesh)
     values = np.asarray(values, dtype=float)
-    s = frames.arclengths
+    s, length = frames.arclengths, frames.length
+    if values.shape != s.shape or not np.isfinite(values).all():
+        raise InvalidSpec("Hoelder seminorm needs one finite value per boundary node")
+    starts = np.arange(0, s.size, HOLDER_BLOCK)
+    fmax = np.maximum.reduceat(values, starts)
+    fmin = np.minimum.reduceat(values, starts)
+    smax = np.maximum.reduceat(s, starts)
+    smin = np.minimum.reduceat(s, starts)
+    # for i in block I and j in block J, |f_i - f_j| <= osc[I, J] and
+    # lo[I, J] <= |s_i - s_j| <= hi[I, J]; rounding is monotone, so the
+    # bounds also hold for the computed quotients
+    osc = np.maximum(fmax[None, :] - fmin[:, None], fmax[:, None] - fmin[None, :])
+    lo = np.maximum(smin[None, :] - smax[:, None], smin[:, None] - smax[None, :])
+    hi = np.maximum(smax[None, :] - smin[:, None], smax[:, None] - smin[None, :])
+    d_min = np.maximum(np.minimum(lo, length - hi), mesh.h_max)
+    rows, cols = np.triu_indices(starts.size)
+    bound = (osc / d_min**alpha)[rows, cols]
     best = 0.0
-    n = len(values)
-    for i0 in range(0, n, 256):
-        block = slice(i0, min(i0 + 256, n))
-        d = np.abs(s[block, None] - s[None, :])
-        d = np.minimum(d, frames.length - d)
-        df = np.abs(values[block, None] - values[None, :])
+    for k in np.argsort(-bound, kind="stable"):
+        if bound[k] * (1.0 + 1e-12) <= best:   # margin for the rounding of pow
+            break
+        bi = slice(starts[rows[k]], starts[rows[k]] + HOLDER_BLOCK)
+        bj = slice(starts[cols[k]], starts[cols[k]] + HOLDER_BLOCK)
+        d = np.abs(s[bi, None] - s[None, bj])
+        d = np.minimum(d, length - d)
+        df = np.abs(values[bi, None] - values[None, bj])
         ok = d >= mesh.h_max
         if ok.any():
             q = np.where(ok, df / np.where(ok, d, 1.0) ** alpha, 0.0)

@@ -1,18 +1,21 @@
 """Exact verification of the pointwise differential identity in dimension N.
 
-Polynomials carry rational coefficients indexed by exponent multi-indices;
-all differentiation and expansion is symbolic, so a zero residual is a
-proof of the identity on the generated inputs, independent of every
-floating-point module.  The boundary maximum enters the identity affinely
-and is kept as a free symbol (one extra variable slot), which covers every
-possible value at once; rational spot evaluations are reported alongside.
+Polynomials carry rational coefficients indexed by exponent multi-indices,
+stored as integer numerators over one common denominator per polynomial, so
+products and sums run on ints and a Fraction is built only for a value or a
+view of the coefficients.  All differentiation and expansion is symbolic, so
+a zero residual is a proof of the identity on the generated inputs,
+independent of every floating-point module.  The boundary maximum enters the
+identity affinely and is kept as a free symbol (one extra variable slot),
+which covers every possible value at once; rational spot evaluations are
+reported alongside.
 """
 
 import random
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm, prod
 from operator import add
 
 from .errors import InvalidSpec, NotTorsionPolynomial
@@ -23,33 +26,51 @@ HALF = Fraction(1, 2)
 class Polynomial:
     """Multivariate polynomial over exact rationals.
 
-    terms maps exponent tuples (length nvars) to nonzero Fractions.  The
-    spatial dimension N may be smaller than nvars; differential operators
-    act on the first N slots only (extra slots hold free symbols).
+    The coefficients are integer numerators num (exponent tuples of length
+    nvars to nonzero ints) over one common denominator den.  The form is
+    canonical: den >= 1 and gcd(den, every numerator) = 1, so equal
+    polynomials have equal (num, den).  The spatial dimension N may be
+    smaller than nvars; differential operators act on the first N slots only
+    (extra slots hold free symbols).
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars, terms=None):
+        coeffs = {}
+        for mono, c in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) != nvars:
+                raise InvalidSpec(
+                    f"monomial {mono} has {len(mono)} exponents, expected {nvars}"
+                )
+            c = Fraction(c)
+            if c:
+                coeffs[mono] = c
+        # over the lcm of the denominators no prime divides den and every
+        # numerator, so the result is already canonical
+        den = lcm(*(c.denominator for c in coeffs.values()))
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[tuple(mono)] = c
+        self.num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        self.den = den
 
     @classmethod
-    def _adopt(cls, nvars, terms):
-        """Wrap terms that already map tuples to nonzero Fractions, uncopied."""
+    def _adopt(cls, nvars, num, den):
+        """Wrap numerators and a denominator already in canonical form, uncopied."""
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p.num = num
+        p.den = den
         return p
 
     @classmethod
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
+
+    @property
+    def terms(self):
+        """Read-only view of the coefficients as {exponent tuple: Fraction}."""
+        return {m: Fraction(c, self.den) for m, c in self.num.items()}
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -62,7 +83,9 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._adopt(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._adopt(
+            self.nvars, {m: -c for m, c in self.num.items()}, self.den
+        )
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -73,25 +96,26 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = Fraction(other)
-            terms = {m: c * v for m, v in self.terms.items()} if c else {}
-            return Polynomial._adopt(self.nvars, terms)
+            num = {m: c.numerator * v for m, v in self.num.items()}
+            return _normalized(self.nvars, num, self.den * c.denominator)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in self.num.items():
+            for m2, c2 in other.num.items():
                 mono = tuple(map(add, m1, m2))
                 c = c1 * c2
                 out[mono] = out[mono] + c if mono in out else c
-        return _nonzero(self.nvars, out)
+        return _normalized(self.nvars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def diff(self, var):
         out = {}
-        for mono, c in self.terms.items():
+        for mono, c in self.num.items():
             p = mono[var]
             if p:
                 out[mono[:var] + (p - 1,) + mono[var + 1:]] = c * p
-        return Polynomial._adopt(self.nvars, out)
+        # the exponent p may share a factor with den
+        return _normalized(self.nvars, out, self.den)
 
     def gradient(self, ndim):
         return [self.diff(i) for i in range(ndim)]
@@ -100,22 +124,35 @@ class Polynomial:
         return divergence(self.gradient(ndim), ndim)
 
     def evaluate(self, point):
-        top = max(map(max, self.terms), default=0)
-        powers = [[Fraction(x) ** k for k in range(top + 1)] for x in point]
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            for pw, p in zip(powers, mono):
-                if p:
-                    c *= pw[p]
+        if len(point) != self.nvars:
+            raise InvalidSpec(
+                f"point {tuple(point)} has {len(point)} coordinates, "
+                f"expected {self.nvars}"
+            )
+        xs = [Fraction(x) for x in point]
+        tops = [max(col) for col in zip(*self.num)] or [0] * self.nvars
+        # with x = a/b and t the top exponent of x, x^k = a^k b^(t-k) / b^t:
+        # every term is an integer over den * prod b^t
+        tables = [
+            [x.numerator ** k * x.denominator ** (t - k) for k in range(t + 1)]
+            for x, t in zip(xs, tops)
+        ]
+        total = 0
+        for mono, c in self.num.items():
+            for tab, p in zip(tables, mono):
+                c *= tab[p]
             total += c
-        return total
+        scale = self.den * prod(x.denominator ** t for x, t in zip(xs, tops))
+        return Fraction(total, scale)
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (self.nvars, self.den, self.num) == (
+                other.nvars, other.den, other.num
+            )
         return self.is_zero() if other == 0 else NotImplemented
 
     def pad(self, nvars):
@@ -123,10 +160,12 @@ class Polynomial:
         if nvars == self.nvars:
             return self
         tail = (0,) * (nvars - self.nvars)
-        return Polynomial._adopt(nvars, {m + tail: c for m, c in self.terms.items()})
+        return Polynomial._adopt(
+            nvars, {m + tail: c for m, c in self.num.items()}, self.den
+        )
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
         for mono, c in sorted(self.terms.items()):
@@ -137,17 +176,30 @@ class Polynomial:
         return " + ".join(bits)
 
 
-def _nonzero(nvars, out):
-    """Polynomial of the accumulated terms, with cancelled terms dropped."""
-    return Polynomial._adopt(nvars, {m: c for m, c in out.items() if c})
+def _normalized(nvars, num, den):
+    """Polynomial of integer numerators over den, with cancelled terms dropped
+    and the common factor of den and the numerators divided out."""
+    if 0 in num.values():
+        num = {m: c for m, c in num.items() if c}
+    g = den
+    for c in num.values():
+        g = gcd(g, c)
+        if g == 1:
+            return Polynomial._adopt(nvars, num, den)
+    # g == den when no term is left, which gives the zero polynomial over 1
+    return Polynomial._adopt(nvars, {m: c // g for m, c in num.items()}, den // g)
 
 
 def _sum(nvars, polys):
+    polys = tuple(polys)
+    den = lcm(*(p.den for p in polys))
     out = {}
     for p in polys:
-        for mono, c in p.terms.items():
+        scale = den // p.den
+        for mono, c in p.num.items():
+            c *= scale
             out[mono] = out[mono] + c if mono in out else c
-    return _nonzero(nvars, out)
+    return _normalized(nvars, out, den)
 
 
 def divergence(field_components, ndim):
@@ -203,7 +255,9 @@ def harmonic_basis(ndim, degree):
         for m in monos
     ]
     kernel = _rational_kernel(cols, len(target))
-    return tuple(Polynomial(ndim, dict(zip(monos, vec))) for vec in kernel)
+    return tuple(
+        Polynomial(ndim, {m: c for m, c in zip(monos, vec) if c}) for vec in kernel
+    )
 
 
 def _rational_kernel(cols, nrows):

@@ -18,7 +18,7 @@ from serrinlab.boundary import (
     tangential_gradient,
     trace,
 )
-from serrinlab.errors import NotDirichlet, NotNeumann, NotTorsion
+from serrinlab.errors import InvalidSpec, NotDirichlet, NotNeumann, NotTorsion
 from serrinlab.identities import eval_classical_identity, eval_neumann_identity
 from serrinlab.meshfem import FemField, generate_mesh, solve_torsion_neumann
 
@@ -295,3 +295,47 @@ def test_normal_tangential_reconstructs_vectors(ellipse_mesh):
     back = (v_nu[:, None] * boundary_normals(ellipse_mesh)
             + v_tau[:, None] * boundary_tangents(ellipse_mesh))
     assert np.abs(back - v).max() <= 1e-15
+
+
+def _holder_full_scan(mesh, values, alpha):
+    """The unpruned O(m^2) scan: every row block against every node."""
+    frames = boundary._frames(mesh)
+    values = np.asarray(values, dtype=float)
+    s = frames.arclengths
+    best = 0.0
+    n = len(values)
+    for i0 in range(0, n, 256):
+        block = slice(i0, min(i0 + 256, n))
+        d = np.abs(s[block, None] - s[None, :])
+        d = np.minimum(d, frames.length - d)
+        df = np.abs(values[block, None] - values[None, :])
+        ok = d >= mesh.h_max
+        if ok.any():
+            q = np.where(ok, df / np.where(ok, d, 1.0) ** alpha, 0.0)
+            best = max(best, float(q.max()))
+    return best
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("mesh_name", ["disk_mesh", "ellipse_mesh", "pdisk_mesh"])
+def test_holder_seminorm_matches_full_scan(request, mesh_name, alpha):
+    mesh = request.getfixturevalue(mesh_name)
+    theta = mesh.boundary_theta
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        k = rng.integers(1, 9)
+        smooth = rng.normal() * np.cos(k * theta + rng.uniform(0, 2 * np.pi))
+        for values in (smooth, smooth + 1e-3 * rng.normal(size=theta.size),
+                       rng.normal(size=theta.size)):
+            assert holder_seminorm(mesh, values, alpha) == _holder_full_scan(
+                mesh, values, alpha
+            )
+
+
+def test_holder_seminorm_rejects_bad_values(disk_mesh):
+    values = np.cos(disk_mesh.boundary_theta)
+    values[3] = np.nan
+    with pytest.raises(InvalidSpec):
+        holder_seminorm(disk_mesh, values, 0.5)
+    with pytest.raises(InvalidSpec):
+        holder_seminorm(disk_mesh, values[:-1], 0.5)

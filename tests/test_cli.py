@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -148,6 +149,27 @@ def test_pointwise_identity(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 6
     assert all("zero_residual=True" in ln for ln in lines)
+
+
+# sha256 of the pointwise_identity.csv written by the rational-coefficient
+# implementation, which the integer-numerator one must reproduce byte for byte
+POINTWISE_CSV_SHA256 = {
+    0: "8f819dff42a4fe09e8150ac17ec28a44cb47d23a90191372ee3242daf84e3fad",
+    1: "02a678a1e00f07b65f9bb488c815434f115fa418928818c1fbc8a1259e92ee31",
+    2: "98163f18c814abfc1f65ac845cbaf023fa719108b504a874ce57ac644bb5913c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(POINTWISE_CSV_SHA256))
+def test_pointwise_identity_csv_pinned(tmp_path, capsys, seed):
+    out = tmp_path / "run"
+    code = main(
+        ["--out", str(out), "--seed", str(seed), "pointwise-identity",
+         "--N", "2,3,4,5", "--degree", "4", "--cases", "20"]
+    )
+    assert code == 0
+    data = (out / "pointwise_identity.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == POINTWISE_CSV_SHA256[seed]
 
 
 def test_spectral_command(tmp_path, disk_spec):

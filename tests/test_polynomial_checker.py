@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrinlab.errors import NotTorsionPolynomial
+from serrinlab.errors import InvalidSpec, NotTorsionPolynomial
 from serrinlab.polycheck import (
     Polynomial,
     check_differential_identity,
@@ -139,6 +140,24 @@ def _ring_case(draw):
     return nvars, draw(poly), draw(poly), draw(st.tuples(*[_coef] * nvars))
 
 
+def _reference_value(terms, x):
+    """Term-by-term Fraction value of {exponent tuple: coefficient} at x."""
+    total = Fraction(0)
+    for mono, c in terms.items():
+        term = Fraction(c)
+        for xi, p in zip(x, mono, strict=True):
+            term *= Fraction(xi) ** p
+        total += term
+    return total
+
+
+def _assert_canonical(r):
+    assert r.den >= 1
+    assert all(c != 0 for c in r.num.values())
+    assert math.gcd(r.den, *r.num.values()) == 1
+    assert all(isinstance(c, int) for c in r.num.values())
+
+
 @settings(max_examples=60)
 @given(_ring_case())
 def test_polynomial_ring_laws(case):
@@ -148,10 +167,53 @@ def test_polynomial_ring_laws(case):
     assert (p - q).evaluate(x) == px - qx
     assert (p * q).evaluate(x) == px * qx
     assert (p - p).is_zero()
-    results = [p + q, p - q, p * q, p - p, -p, p * Fraction(-2, 3), p + 1]
+    results = [p, q, p + q, p - q, p * q, p - p, -p, p * Fraction(-2, 3), p + 1, 3 * p]
     for i in range(nvars):
         lhs = (p * q).diff(i)
         assert lhs == p.diff(i) * q + p * q.diff(i)
-        results.append(lhs)
+        results.extend([lhs, p.diff(i)])
+    results.append(p.pad(nvars + 1))
     for r in results:
-        assert all(c != 0 for c in r.terms.values())
+        _assert_canonical(r)
+        point = x + (Fraction(5, 3),) * (r.nvars - nvars)
+        assert r.evaluate(point) == _reference_value(r.terms, point)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), _coef, max_size=6),
+    st.tuples(*[_coef] * n),
+)))
+def test_stored_form_matches_given_coefficients(case):
+    nvars, raw, x = case
+    p = Polynomial(nvars, raw)
+    _assert_canonical(p)
+    assert p.terms == {m: c for m, c in raw.items() if c}
+    assert p.evaluate(x) == _reference_value(raw, x)
+
+
+def test_canonical_form_cancels_common_factors():
+    p = Polynomial(2, {(2, 0): Fraction(1, 2), (0, 2): Fraction(3, 4)})
+    assert (p.num, p.den) == ({(2, 0): 2, (0, 2): 3}, 4)
+    # d/dx (x^2/2) = x: the exponent cancels the denominator
+    assert p.diff(0) == Polynomial(2, {(1, 0): 1})
+    assert p.diff(0).den == 1
+    half = Polynomial(2, {(0, 0): Fraction(1, 2)})
+    assert (half + half).den == 1
+    assert (p - p).den == 1
+
+
+def test_evaluate_rejects_short_point():
+    with pytest.raises(InvalidSpec):
+        Polynomial(2, {(1, 1): 3}).evaluate((2,))
+
+
+def test_evaluate_rejects_long_point():
+    with pytest.raises(InvalidSpec):
+        Polynomial(2, {(1, 1): 3}).evaluate((2, 5, 7))
+
+
+def test_rejects_monomial_of_wrong_length():
+    with pytest.raises(InvalidSpec):
+        Polynomial(2, {(1, 0, 0): 1})
