@@ -62,7 +62,6 @@ from .stability import (
     deviations,
     geometric_bounds_check,
     oscillation_bound_check,
-    psi,
     stability_sweep,
     strong_deviation_pipeline,
 )

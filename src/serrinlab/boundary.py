@@ -57,11 +57,6 @@ def boundary_normals(mesh):
     return _frames(mesh).nu
 
 
-def boundary_tangents(mesh):
-    """Counter-clockwise unit tangents tau = (-nu_y, nu_x) at the boundary nodes."""
-    return _frames(mesh).tau
-
-
 def boundary_curvatures(mesh):
     return _frames(mesh).kappa
 

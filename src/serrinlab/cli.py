@@ -39,7 +39,6 @@ from .stability import (
     identity_reports,
     loglog_fit,
     oscillation_bound_check,
-    psi,
     stability_sweep,
     strong_deviation_pipeline,
 )
@@ -156,8 +155,13 @@ def _finite_float(text):
 
 
 def _load_domain(args):
-    with open(args.domain) as fh:
-        return domain_from_spec(json.load(fh))
+    """The domain of --domain; an unreadable or non-JSON file is an InvalidSpec."""
+    try:
+        with open(args.domain) as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidSpec(f"--domain {args.domain!r}: cannot read a JSON spec ({exc})")
+    return domain_from_spec(spec)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -261,7 +265,7 @@ def cmd_sweep(args, run):
     )
     header = [
         "epsilon", "rho_gap", "osc_gamma_u", "grad_inf", "grad_l2",
-        "tangential_norm", "c1alpha_norm", "psi_uniform", "psi_weak",
+        "tangential_norm", "c1alpha_norm", "uniform", "weak",
         "z_x", "z_y", "delta_z", "mesh_h", "in_smallness_regime", "flags",
     ]
     rows = []
@@ -270,8 +274,7 @@ def cmd_sweep(args, run):
         rows.append(
             [
                 r.epsilon, r.rho_gap, d.osc_gamma_u, d.grad_inf, d.grad_l2,
-                d.tangential_norm, d.c1alpha_norm,
-                r.psi_values.get("uniform", 0.0), r.psi_values.get("weak", 0.0),
+                d.tangential_norm, d.c1alpha_norm, d.uniform(), d.weak(),
                 r.z[0], r.z[1], r.delta_z, r.mesh_h,
                 int(r.in_smallness_regime), "|".join(r.flags),
             ]
@@ -300,7 +303,7 @@ def cmd_sweep(args, run):
         for rec in result.records:
             if "rigid" in rec.flags:
                 continue
-            bound = result.c_fit * psi(rec.deviations.uniform(), 2)
+            bound = result.c_fit * rec.deviations.uniform()
             if rec.rho_gap > bound * (1 + 1e-12):
                 status = CONTRACT_FAIL
     return run.finish(status)
@@ -468,7 +471,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         run = Run(args)
         return args.func(args, run)
-    except (SerrinLabError, FileNotFoundError) as exc:
+    except SerrinLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if run is not None:
             run.error = str(exc)

@@ -69,10 +69,6 @@ class ConvergenceFailure(SerrinLabError):
     """Iterative eigensolver ran out of iterations."""
 
 
-class InvalidVariant(SerrinLabError):
-    """Requested profile variant undefined for this dimension."""
-
-
 class BoundaryMinimum(SerrinLabError):
     """Minimizer of a Neumann torsion field landed on the boundary."""
 

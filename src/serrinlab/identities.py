@@ -165,8 +165,7 @@ def p_function(u_field):
     """P = |grad u|^2 / 2 + (ubar - u) and its distributed Laplacian.
 
     The Laplacian field is |H_rec|^2 - 2 clamped at zero where it dips
-    negative by less than the recovery-noise tolerance; the clamp count is
-    attached to the returned field.
+    negative by less than the recovery-noise tolerance.
     """
     audit_torsion(u_field)
     mesh = u_field.mesh
@@ -175,15 +174,8 @@ def p_function(u_field):
     P = 0.5 * (rec.gradient**2).sum(1) + (ubar - u_field.coeffs)
     dP = rec.hessian[:, 0] ** 2 + rec.hessian[:, 1] ** 2 + 2 * rec.hessian[:, 2] ** 2
     dP = dP - SOURCE
-    clamp_tol = 1e-6
-    small_neg = (dP < 0) & (dP >= -clamp_tol)
-    clamped = dP.copy()
-    clamped[small_neg] = 0.0
-    p_field = FemField(mesh, P, kind="generic")
-    dp_field = FemField(mesh, clamped, kind="generic")
-    dp_field.clamp_count = int(small_neg.sum())
-    dp_field.min_before_clamp = float(dP.min())
-    return p_field, dp_field
+    dP[(dP < 0) & (dP >= -1e-6)] = 0.0     # recovery-noise tolerance
+    return FemField(mesh, P, kind="generic"), FemField(mesh, dP, kind="generic")
 
 
 # -- identity evaluators -------------------------------------------------------------

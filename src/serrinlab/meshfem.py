@@ -515,14 +515,6 @@ class FemField:
     def trace_values(self):
         return self.coeffs[self.mesh.boundary_idx]
 
-    def shifted(self, c):
-        """The field plus c, keeping the discrete flux data of a Neumann solve."""
-        out = FemField(self.mesh, self.coeffs + c, self.kind)
-        for name in ("R_disc", "area_h", "perimeter_h"):
-            if hasattr(self, name):
-                setattr(out, name, getattr(self, name))
-        return out
-
     def gradient_at_quad(self, degree=VOLUME_DEGREE):
         ops = self.mesh.element_ops(degree)
         return np.einsum("tqnk,tn->tqk", ops["grad"], self.coeffs[self.mesh.triangles])
@@ -713,15 +705,13 @@ def solve_torsion_neumann(mesh) -> FemField:
     m = lumped_mass(mesh)
     g = boundary_load_vector(mesh)
     area_h = m.sum()
-    perim_h = g.sum()
-    r_disc = SOURCE * area_h / perim_h
+    r_disc = SOURCE * area_h / g.sum()
     b = r_disc * g - SOURCE * m
     u = solve_zero_mean(mesh, b)
     _check_residual(assemble_stiffness(mesh), u, b, "torsion-neumann")
     field = FemField(mesh, u, kind="torsion_neumann")
     field.R_disc = r_disc
     field.area_h = area_h
-    field.perimeter_h = perim_h
     return field
 
 

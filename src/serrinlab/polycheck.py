@@ -424,16 +424,6 @@ def delta_p(u):
     return dot(hess, hess) - ndim
 
 
-def is_quadratic_radial(u):
-    """True when the Hessian is the identity, i.e. u - |x-z|^2/2 is affine."""
-    ndim = u.nvars
-    return all(
-        (d - int(i == j)).is_zero()
-        for i, g in enumerate(u.gradient(ndim))
-        for j, d in enumerate(g.gradient(ndim))
-    )
-
-
 def random_rational_points(ndim, count, seed):
     rng = random.Random(f"points|{seed}|{ndim}")
     return [

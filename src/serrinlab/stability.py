@@ -2,11 +2,11 @@
 
 For each domain the lab measures how far the solution is from the rigid
 (disk) configuration: boundary deviations of the trace and its tangential
-gradient, the sphere-radii gap rho_e - rho_i about the minimum point, the
-weighted Hessian integrals, and the dimensionally calibrated profile psi
-that the stability bounds use.  Parameterized perturbation sweeps fit
+gradient, the sphere-radii gap rho_e - rho_i about the minimum point, and
+the weighted Hessian integrals.  Parameterized perturbation sweeps fit
 empirical exponents of the gap against each deviation and check the
-one-sided bound gap <= c * psi(deviation) with a single fitted constant.
+one-sided linear bound gap <= c * (uniform deviation) with a single fitted
+constant; the uniform deviation is osc_Gamma u + sup |grad_Gamma u|.
 The integral identities are dispatched here too: which solutions and which
 point each identity uses, and the convergence of its residual over mesh
 levels.
@@ -26,7 +26,7 @@ from .boundary import (
     tangential_gradient,
     trace,
 )
-from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidSpec, InvalidVariant
+from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidSpec
 from .geometry import build_domain, distances_to_boundary, radii_about
 from .identities import (
     eval_classical_identity,
@@ -59,29 +59,6 @@ REL_FLOOR = 1e-6     # relative residuals below this are converged noise
 ARGMIN_TIE_TOL = 1e-11
 GRAD_TOL = 1e-3      # largest |grad h| accepted at the minimum point
 SWEEP_FIT_MIN = 4    # non-rigid records an exponent fit needs
-
-
-# -- the stability profile ----------------------------------------------------
-
-def psi(t, N=2, variant="standard"):
-    """Dimension-dependent stability modulus.
-
-    standard: t for N = 2; t * max(log(1/t), 1) for N = 3; t^{2/(N-1)} for
-    N >= 4.  improved (N >= 4 only): t^{4/(N+1)}.
-    """
-    if t <= 0:
-        raise ValueError(f"profile argument must be positive, got {t}")
-    if variant == "improved":
-        if N <= 3:
-            raise InvalidVariant("improved profile is defined only for N >= 4")
-        return t ** (4.0 / (N + 1))
-    if variant != "standard":
-        raise InvalidVariant(f"unknown profile variant {variant!r}")
-    if N == 2:
-        return float(t)
-    if N == 3:
-        return t * max(math.log(1.0 / t), 1.0)
-    return t ** (2.0 / (N - 1))
 
 
 # -- minimum point ---------------------------------------------------------------
@@ -165,12 +142,10 @@ class DeviationSet:
     grad_l2: float
     tangential_norm: float
     c1alpha_norm: float
-    alpha: float
 
     def as_dict(self):
         """The five measures by name."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "alpha"}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def kinds(self):
         """The seven deviation kinds by name: the measures, uniform and weak."""
@@ -198,7 +173,7 @@ def deviations(u_field, alpha=DEFAULT_ALPHA) -> DeviationSet:
     tangential_norm = math.hypot(f_l2, grad_l2)
     hol = holder_seminorm(mesh, -gt, alpha)
     c1 = osc + grad_inf + hol
-    return DeviationSet(osc, grad_inf, grad_l2, tangential_norm, c1, alpha)
+    return DeviationSet(osc, grad_inf, grad_l2, tangential_norm, c1)
 
 
 # -- pointwise geometric bounds -------------------------------------------------------
@@ -324,7 +299,6 @@ class StabilityRecord:
     epsilon: float
     rho_gap: float
     deviations: DeviationSet
-    psi_values: dict
     z: tuple
     delta_z: float
     mesh_h: float
@@ -345,7 +319,7 @@ class ExponentFit:
 class SweepResult:
     records: list
     fits: dict
-    c_fit: float            # max rho_gap / psi(uniform deviation)
+    c_fit: float            # max rho_gap / uniform deviation
     dropped: list
 
 
@@ -405,15 +379,13 @@ def sweep_member(mode, epsilon, h_target, alpha=DEFAULT_ALPHA):
     coarse, fine = per_level
     rho_gap = _richardson(fine["rho_gap"], coarse["rho_gap"])
     fd, cd = fine["dev"].as_dict(), coarse["dev"].as_dict()
-    dev = DeviationSet(alpha=alpha, **{k: _richardson(fd[k], cd[k]) for k in fd})
-    psi_values = {k: (psi(v, 2) if v > 0 else 0.0) for k, v in dev.kinds().items()}
+    dev = DeviationSet(**{k: _richardson(fd[k], cd[k]) for k in fd})
     if rho_gap <= RIGID_GAP_FLOOR:
         flags.append("rigid")
     return StabilityRecord(
         epsilon=epsilon,
         rho_gap=float(rho_gap),
         deviations=dev,
-        psi_values=psi_values,
         z=tuple(fine["z"]),
         delta_z=fine["delta_z"],
         mesh_h=fine["h"],
@@ -428,8 +400,8 @@ def stability_sweep(mode, amplitudes, h_target=0.05,
 
     One record per amplitude (Richardson over two mesh levels); log-log
     fits of rho_gap against each deviation kind over the non-rigid records;
-    c_fit is the single constant of the one-sided profile bound
-    rho_gap <= c_fit * psi(uniform deviation).
+    c_fit is the single constant of the one-sided linear bound
+    rho_gap <= c_fit * (uniform deviation).
     """
     check_family(mode, amplitudes, SWEEP_FIT_MIN)
     records = [sweep_member(mode, float(e), h_target, alpha) for e in amplitudes]
@@ -444,10 +416,7 @@ def stability_sweep(mode, amplitudes, h_target=0.05,
         for kind in kinds[0]:
             slope, intercept, r2 = loglog_fit([k[kind] for k in kinds], gaps)
             fits[kind] = ExponentFit(kind, slope, intercept, r2, len(usable))
-    c_fit = max(
-        (r.rho_gap / psi(r.deviations.uniform(), 2) for r in usable),
-        default=0.0,
-    )
+    c_fit = max((r.rho_gap / r.deviations.uniform() for r in usable), default=0.0)
     return SweepResult(records=records, fits=fits, c_fit=c_fit, dropped=dropped)
 
 

@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from serrinlab.geometry import EllipseDomain, build_domain
 from serrinlab.meshfem import (
+    FemField,
     generate_mesh,
     solve_torsion_dirichlet,
     solve_torsion_neumann,
@@ -84,6 +85,13 @@ def h1_seminorm_error(field, exact_grad):
     return float(
         np.sqrt(0.5 * np.einsum("q,tq,tqk->", ops["w"], ops["detJ"], g**2))
     )
+
+
+def shifted(field, c):
+    """The Neumann field plus c, keeping the discrete flux data of its solve."""
+    out = FemField(field.mesh, field.coeffs + c, field.kind)
+    out.R_disc, out.area_h = field.R_disc, field.area_h
+    return out
 
 
 def fit_order(hs, errs):

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import shifted
 from serrinlab.boundary import normal_derivative
 from serrinlab.geometry import EllipseDomain, build_domain, radii_about
 from serrinlab.identities import (
@@ -38,7 +39,6 @@ from serrinlab.stability import (
     geometric_bounds_check,
     loglog_fit,
     oscillation_bound_check,
-    psi,
     stability_sweep,
     strong_deviation_pipeline,
 )
@@ -180,7 +180,7 @@ def test_criterion_6_stability_sweep():
         assert fit.n_points == 4
         assert np.isfinite(sweep_result.c_fit)
         for rec in sweep_result.records:
-            bound = sweep_result.c_fit * psi(rec.deviations.uniform(), 2)
+            bound = sweep_result.c_fit * rec.deviations.uniform()
             assert rec.rho_gap <= bound * (1 + 1e-12)
 
 
@@ -215,8 +215,7 @@ def test_criterion_8_equivalence_audits(disk_fields):
         assert abs(rep_g.abs_residual - rep_a.abs_residual) <= 1e-10
 
         base = eval_neumann_identity(u, z)
-        shifted = u.shifted(17.3)
-        moved = eval_neumann_identity(shifted, z)
+        moved = eval_neumann_identity(shifted(u, 17.3), z)
         assert abs(base.abs_residual - moved.abs_residual) <= 1e-12
         for k in base.terms:
             assert abs(base.terms[k] - moved.terms[k]) <= 1e-12

@@ -215,12 +215,21 @@ def test_sweep_csv_deterministic(tmp_path):
                 float(cell)
 
 
-def test_missing_domain_file_is_operational_error(tmp_path):
-    code = main(
-        ["--out", str(tmp_path / "r"), "solve", "--domain",
-         str(tmp_path / "nope.json"), "--h-target", "0.1"]
-    )
+@pytest.mark.parametrize(
+    "content", [None, "dir", b"{bad", b"\xff\xfe"],
+    ids=["missing", "directory", "malformed-json", "not-utf8"],
+)
+def test_missing_domain_file_is_operational_error(tmp_path, capsys, content):
+    path = tmp_path / "spec.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "r"
+    code = main(["--out", str(out), "solve", "--domain", str(path), "--h-target", "0.1"])
     assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert json.loads((out / "manifest.json").read_text())["status"] == 1
 
 
 @pytest.mark.parametrize(

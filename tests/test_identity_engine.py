@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import shifted
 from serrinlab.errors import NotDirichlet, NotNeumann, NotTorsion
 from serrinlab.identities import (
     eval_classical_identity,
@@ -144,9 +145,9 @@ def test_neumann_rejects_dirichlet(ellipse_dirichlet):
 
 def test_neumann_gauge_shift(pdisk_neumann):
     rep = eval_neumann_identity(pdisk_neumann, (0.0, 0.0))
-    shifted = pdisk_neumann.shifted(17.3)
-    assert shifted.R_disc == pdisk_neumann.R_disc
-    rep2 = eval_neumann_identity(shifted, (0.0, 0.0))
+    moved = shifted(pdisk_neumann, 17.3)
+    assert moved.R_disc == pdisk_neumann.R_disc
+    rep2 = eval_neumann_identity(moved, (0.0, 0.0))
     assert abs(rep.abs_residual - rep2.abs_residual) <= 1e-12
     for k in rep.terms:
         assert abs(rep.terms[k] - rep2.terms[k]) <= 1e-12

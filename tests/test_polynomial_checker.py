@@ -12,7 +12,6 @@ from serrinlab.polycheck import (
     check_pfunction_identity,
     delta_p,
     harmonic_basis,
-    is_quadratic_radial,
     quadratic_core,
     random_rational_points,
     random_torsion_polynomial,
@@ -107,6 +106,16 @@ def test_delta_p_nonnegative_at_points():
             dp = delta_p(u)
             for pt in random_rational_points(ndim, 6, case):
                 assert dp.evaluate(pt) >= 0
+
+
+def is_quadratic_radial(u):
+    """True when the Hessian is the identity, i.e. u - |x-z|^2/2 is affine."""
+    ndim = u.nvars
+    return all(
+        (d - int(i == j)).is_zero()
+        for i, g in enumerate(u.gradient(ndim))
+        for j, d in enumerate(g.gradient(ndim))
+    )
 
 
 def test_quadratic_rigidity():
