@@ -264,21 +264,17 @@ def cmd_sweep(args, run):
         alpha=args.alpha,
     )
     header = [
-        "epsilon", "rho_gap", "osc_gamma_u", "grad_inf", "grad_l2",
-        "tangential_norm", "c1alpha_norm", "uniform", "weak",
+        "epsilon", "rho_gap", *result.records[0].deviations.kinds(),
         "z_x", "z_y", "delta_z", "mesh_h", "in_smallness_regime", "flags",
     ]
-    rows = []
-    for r in result.records:
-        d = r.deviations
-        rows.append(
-            [
-                r.epsilon, r.rho_gap, d.osc_gamma_u, d.grad_inf, d.grad_l2,
-                d.tangential_norm, d.c1alpha_norm, d.uniform(), d.weak(),
-                r.z[0], r.z[1], r.delta_z, r.mesh_h,
-                int(r.in_smallness_regime), "|".join(r.flags),
-            ]
-        )
+    rows = [
+        [
+            r.epsilon, r.rho_gap, *r.deviations.kinds().values(),
+            r.z[0], r.z[1], r.delta_z, r.mesh_h,
+            int(r.in_smallness_regime), "|".join(r.flags),
+        ]
+        for r in result.records
+    ]
     run.write_csv("sweep_records.csv", header, rows)
     fit_data = {
         k: {
@@ -290,6 +286,13 @@ def cmd_sweep(args, run):
         for k, f in result.fits.items()
     }
     fit_data["c_fit_uniform"] = result.c_fit
+    # the limit of c_fit as the amplitudes go to 0, from the first-order
+    # solution; mode 1 only translates the disk to first order, where both
+    # rho_gap and the uniform deviation vanish, so it has no such limit
+    mode = args.mode
+    fit_data["c_fit_first_order"] = (
+        2 * mode / ((mode - 1) * (mode + 2)) if mode > 1 else None
+    )
     fit_data["dropped_rigid"] = result.dropped
     run.write_json("exponent_fits.json", fit_data)
 

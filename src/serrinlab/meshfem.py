@@ -770,9 +770,16 @@ def quad_points(mesh, degree=VOLUME_DEGREE):
 
 # -- point evaluation -------------------------------------------------------
 
-def eval_gradient(field, elem, ref):
-    coords = field.mesh.nodes[field.mesh.triangles[elem]]
-    dN = p2_dshape(np.atleast_2d(ref))[0]
+def eval_gradient(field, point, elements):
+    """FE gradient of field at point, in the element among `elements` that
+    holds it deepest: the largest smallest barycentric coordinate of point
+    under each element's vertex map."""
+    mesh = field.mesh
+    tris = mesh.triangles[elements]
+    _, inv = mesh.vertex_jacobian()
+    ref = np.einsum("edk,ek->ed", inv[elements], point - mesh.nodes[tris[:, 0]])
+    e = int(np.argmax(np.minimum(ref.min(axis=1), 1.0 - ref.sum(axis=1))))
+    coords = mesh.nodes[tris[e]]
+    dN = p2_dshape(ref[e])[0]
     J = np.einsum("nk,nd->dk", coords, dN)   # J[d,k] = dx_k/dxi_d
-    gref = field.coeffs[field.mesh.triangles[elem]] @ dN
-    return np.linalg.solve(J, gref)
+    return np.linalg.solve(J, field.coeffs[tris[e]] @ dN)

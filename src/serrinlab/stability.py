@@ -26,7 +26,7 @@ from .boundary import (
     tangential_gradient,
     trace,
 )
-from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidSpec
+from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidSpec, NotTorsion
 from .geometry import build_domain, distances_to_boundary, radii_about
 from .identities import (
     eval_classical_identity,
@@ -38,13 +38,10 @@ from .identities import (
     paraboloid_field,
 )
 from .meshfem import (
-    _P2_D2,
     FemField,
     _memo,
     eval_gradient,
     generate_mesh,
-    p2_dshape,
-    p2_shape,
     quad_integral,
     quad_points,
     solve_harmonic_dirichlet,
@@ -56,7 +53,6 @@ DEFAULT_ALPHA = 0.5
 RIGID_GAP_FLOOR = 1e-10
 NOISE_FLOOR = 1e-8   # identity terms below this are rigid-case noise
 REL_FLOOR = 1e-6     # relative residuals below this are converged noise
-ARGMIN_TIE_TOL = 1e-11
 GRAD_TOL = 1e-3      # largest |grad h| accepted at the minimum point
 SWEEP_FIT_MIN = 4    # non-rigid records an exponent fit needs
 
@@ -65,72 +61,47 @@ SWEEP_FIT_MIN = 4    # non-rigid records an exponent fit needs
 
 @dataclass
 class ArgminResult:
+    """The minimum point z, the lowest node, from which one Newton step
+    reaches z, and the distance of z to the boundary."""
     z: np.ndarray
-    value: float
-    element: int
-    ref: np.ndarray
-    n_tied: int
-    delta: float     # distance of z to the boundary
-
-
-def _element_min(coeffs6):
-    """Exact minimum of the quadratic on the reference triangle."""
-    ref0 = np.zeros((1, 2))
-    b = (coeffs6 @ p2_dshape(ref0)[0]).astype(float)       # gradient at origin
-    h = coeffs6 @ _P2_D2                                   # (xx, yy, xy)
-    A = np.array([[h[0], h[2]], [h[2], h[1]]])
-    cands = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if det > 0 and A[0, 0] > 0:
-        x = np.linalg.solve(A, -b)
-        if x[0] >= 0 and x[1] >= 0 and x.sum() <= 1:
-            cands.append(x)
-    for edge in ("xi", "eta", "hyp"):
-        if edge == "xi":
-            p0, d = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-        elif edge == "eta":
-            p0, d = np.array([0.0, 0.0]), np.array([0.0, 1.0])
-        else:
-            p0, d = np.array([1.0, 0.0]), np.array([-1.0, 1.0])
-        quad = float(d @ A @ d)
-        lin = float(d @ (A @ p0 + b))
-        if quad > 0:
-            t = min(1.0, max(0.0, -lin / quad))
-            cands.append(p0 + t * d)
-    vals = [float(p2_shape(c[None, :])[0] @ coeffs6) for c in cands]
-    k = int(np.argmin(vals))
-    return vals[k], cands[k]
+    node: int
+    delta: float
 
 
 @_memo
 def argmin_point(u_field) -> ArgminResult:
-    """Minimizer of a quadratic-element field, computed once per field.
+    """Minimum point z of a constant-source field, computed once per field.
 
-    Best node, refined by exact per-element quadratic minimization over the
-    elements incident to it.  Refined candidates tied within ARGMIN_TIE_TOL
-    are averaged; on symmetric meshes this pins the degenerate flat minimum
-    of the rigid case to the symmetry center.
+    One Newton step from the lowest node n on its patch-recovered gradient
+    g_n and Hessian H_n: z = x_n - H_n^{-1} g_n.  z moves continuously with
+    the coefficients while the lowest node stays the same, and on a mesh
+    symmetric about that node it is the node to roundoff.  Raises
+    BoundaryMinimum when n or z lies on the boundary, and NotTorsion when
+    H_n is not positive definite (at the minimum of a constant-source field
+    H is positive definite with trace 2).
     """
     mesh = u_field.mesh
-    best_node = int(np.argmin(u_field.coeffs))
-    cands = []
-    for e in mesh.node_elements[best_node].indices.tolist():
-        c6 = u_field.coeffs[mesh.triangles[e]]
-        val, ref = _element_min(c6)
-        phys = p2_shape(ref[None, :])[0] @ mesh.nodes[mesh.triangles[e]]
-        cands.append((val, phys, e, ref))
-    vmin = min(c[0] for c in cands)
-    tied = [c for c in cands if c[0] <= vmin + ARGMIN_TIE_TOL * (1.0 + abs(vmin))]
-    z = np.mean([c[1] for c in tied], axis=0)
-    best = min(tied, key=lambda c: c[0])
+    n = int(np.argmin(u_field.coeffs))
+    if mesh.boundary_mask[n]:
+        raise BoundaryMinimum(
+            f"lowest node {n} lies on the boundary; "
+            "inconsistent with a positive constant flux"
+        )
+    hxx, hyy, hxy = u_field.recovered.hessian[n]
+    if not (hxx > 0 and hxx * hyy - hxy**2 > 0):
+        raise NotTorsion(
+            f"recovered Hessian (xx, yy, xy) = {(hxx, hyy, hxy)} at the lowest "
+            "node is not positive definite"
+        )
+    H = np.array([[hxx, hxy], [hxy, hyy]])
+    z = mesh.nodes[n] - np.linalg.solve(H, u_field.recovered.gradient[n])
     dist = float(distances_to_boundary(mesh.domain, z[None, :])[0])
     if dist < 1e-8:
         raise BoundaryMinimum(
-            f"refined minimizer {z} sits on the boundary; "
+            f"minimum point {z} sits on the boundary; "
             "inconsistent with a positive constant flux"
         )
-    return ArgminResult(z=z, value=vmin, element=best[2], ref=best[3],
-                        n_tied=len(tied), delta=dist)
+    return ArgminResult(z=z, node=n, delta=dist)
 
 
 # -- deviation measures ------------------------------------------------------------
@@ -255,7 +226,7 @@ def oscillation_bound_check(u_field, alpha=DEFAULT_ALPHA) -> OscillationBoundRep
     mesh = u_field.mesh
     res = argmin_point(u_field)
     z = res.z
-    gu = eval_gradient(u_field, res.element, res.ref)
+    gu = eval_gradient(u_field, z, mesh.node_elements[res.node].indices)
     if np.linalg.norm(gu) > GRAD_TOL:
         raise GradientNotZeroAtZ(
             f"|grad h(z)| = {np.linalg.norm(gu):.3g} exceeds {GRAD_TOL}"

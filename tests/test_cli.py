@@ -208,11 +208,19 @@ def test_sweep_csv_deterministic(tmp_path):
         outs.append((out / "sweep_records.csv").read_text())
     assert outs[0] == outs[1]
     header, *rows = [line.split(",") for line in outs[0].splitlines()]
+    assert header == [
+        "epsilon", "rho_gap", "osc_gamma_u", "grad_inf", "grad_l2",
+        "tangential_norm", "c1alpha_norm", "uniform", "weak",
+        "z_x", "z_y", "delta_z", "mesh_h", "in_smallness_regime", "flags",
+    ]
     assert rows and all(len(row) == len(header) for row in rows)
     for row in rows:
         for name, cell in zip(header, row):
             if name != "flags":
                 float(cell)
+    fits = json.loads((tmp_path / "a" / "exponent_fits.json").read_text())
+    # 2k / ((k - 1)(k + 2)) at k = 2
+    assert fits["c_fit_first_order"] == 1.0
 
 
 @pytest.mark.parametrize(

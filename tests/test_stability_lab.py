@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import serrinlab
 from serrinlab import stability
-from serrinlab.errors import GradientNotZeroAtZ, InvalidSpec
+from serrinlab.errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidSpec, NotTorsion
 from serrinlab.geometry import build_domain, distances_to_boundary, radii_about
-from serrinlab.meshfem import generate_mesh, solve_torsion_neumann
+from serrinlab.meshfem import FemField, generate_mesh, solve_torsion_neumann
 from serrinlab.stability import (
     argmin_point,
     deviations,
@@ -44,6 +49,39 @@ def test_argmin_translated_disk():
     u = solve_torsion_neumann(generate_mesh(dom, 0.05))
     res = argmin_point(u)
     assert np.linalg.norm(res.z - np.array([1.0, 1.0])) < 1e-6
+
+
+def test_argmin_rejects_boundary_minimum(pdisk_neumann):
+    # -u is lowest on the boundary
+    with pytest.raises(BoundaryMinimum):
+        argmin_point(FemField(pdisk_neumann.mesh, -pdisk_neumann.coeffs))
+
+
+def test_argmin_rejects_flat_field(pdisk_mesh):
+    # a constant has a zero Hessian: no Newton step, no minimum point
+    with pytest.raises(NotTorsion):
+        argmin_point(FemField(pdisk_mesh, np.ones(pdisk_mesh.n_nodes)))
+
+
+_ELLIPSE_Z = (
+    "from serrinlab.geometry import EllipseDomain; "
+    "from serrinlab.meshfem import generate_mesh, solve_torsion_neumann; "
+    "from serrinlab.stability import argmin_point; "
+    "u = solve_torsion_neumann(generate_mesh(EllipseDomain(2.0, 1.0), 0.05)); "
+    "print(*argmin_point(u).z.tolist())"
+)
+
+
+def test_argmin_independent_of_blas_threads():
+    # the threads reorder rounding in u; z must follow u continuously
+    src = str(Path(serrinlab.__file__).resolve().parents[1])
+    zs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _ELLIPSE_Z], env=env,
+                             capture_output=True, text=True, check=True)
+        zs.append(np.array([float(t) for t in out.stdout.split()]))
+    assert np.abs(zs[0] - zs[1]).max() <= 1e-12, zs
 
 
 # -- deviations --------------------------------------------------------------------
@@ -132,8 +170,9 @@ def test_oscillation_bound_ellipse_slack():
 
 
 def test_oscillation_bound_gradient_check(pdisk_neumann, monkeypatch):
-    # the refined minimum point is a critical point only to roundoff, so a
-    # zero tolerance must trip the check
+    # the Newton step lands on the critical point of the recovered
+    # derivatives, where grad u_h is O(h^2), not zero: a zero tolerance
+    # must trip the check
     monkeypatch.setattr(stability, "GRAD_TOL", 0.0)
     with pytest.raises(GradientNotZeroAtZ):
         oscillation_bound_check(pdisk_neumann)
@@ -183,6 +222,10 @@ def test_sweep_member_matches_first_order_oracle(k):
     rel_err = {}
     for eps in (0.01, 0.005):
         rec = sweep_member(k, eps, 0.1)
+        # each member is symmetric under y -> -y and a rotation by 2 pi / k,
+        # so its minimum point is the centre
+        assert np.linalg.norm(rec.z) <= 1e-12, (k, eps, rec.z)
+        assert abs(rec.delta_z - (1 - eps)) <= 1e-12, (k, eps, rec.delta_z)
         measured = {"rho_gap": rec.rho_gap, "delta_z": rec.delta_z,
                     **rec.deviations.as_dict()}
         rel_err[eps] = {q: abs(measured[q] / v - 1)
