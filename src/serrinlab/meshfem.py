@@ -20,10 +20,14 @@ get the closed forms detJ * sum_de C_de S_de and detJ * M_ref from 6x6
 reference matrices, one matrix product over the mesh; only the curved
 boundary layer is integrated by the degree-8 rule, with operators built for
 those elements alone.  Volume integrals use the degree-4 operators of every
-element, batched matrix products memoized per mesh.  The
+element, batched matrix products memoized per mesh.  The reference
+stiffness entries are exact multiples of 1/6, so K stores no coupling that
+vanishes on an affine element and SuperLU orders only true nonzeros.  The
 node -> element incidence is one cached CSR matrix (`Mesh.node_elements`);
-patch recovery of second derivatives reads its patches from it and fits
-every node in one batched least-squares solve per block of nodes.
+patch recovery of second derivatives reads its patches from it.  Its normal
+matrices depend on the mesh alone and are built once per mesh from
+per-element moments of the sample points; each field adds its own moments,
+patch sums by sparse products and one batched solve.
 """
 
 import functools
@@ -53,9 +57,6 @@ _RADIAL = 0.75        # radial gap = _RADIAL * spacing; counts quantize the
 
 # interior sampling points for gradient recovery (barycentric 2/3,1/6,1/6)
 _SPR_REF = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
-# nodes per recovery block: keeps the per-sample-point arrays of a block near
-# 10 MB, where all nodes of an h=0.025 mesh at once would take ~340 MB
-_RECOVERY_BLOCK = 2048
 
 
 # -- reference element ------------------------------------------------------
@@ -153,13 +154,18 @@ def _quad_ops(coords, degree):
 def _reference_matrices():
     """Reference stiffness blocks [S00, S11, S01 + S10] (3,36) and mass (36,),
     S_de = integral of dN_d dN_e^T over the reference triangle.  The degree-4
-    rule is exact for both integrands (degree 2 and 4).  Built on first use:
-    importing the module does no numerics."""
+    rule is exact for both integrands (degree 2 and 4).  Every stiffness
+    entry is a multiple of 1/6, so the blocks are rounded to it: the
+    vertex/opposite-midnode couplings are then exactly zero.  Built on first
+    use: importing the module does no numerics."""
     bary, w = triangle_rule(4)
     N, dN = p2_shape(bary[:, 1:]), p2_dshape(bary[:, 1:])
     S = 0.5 * np.einsum("q,qid,qje->deij", w, dN, dN)
+    S6 = 6.0 * np.stack([S[0, 0], S[1, 1], S[0, 1] + S[1, 0]]).reshape(3, 36)
+    if np.abs(S6 - np.rint(S6)).max() > 1e-13:
+        raise AssertionError("reference stiffness is not a multiple of 1/6")
     M = 0.5 * np.einsum("q,qi,qj->ij", w, N, N)
-    return np.stack([S[0, 0], S[1, 1], S[0, 1] + S[1, 0]]).reshape(3, 36), M.ravel()
+    return np.rint(S6) / 6.0, M.ravel()
 
 
 # -- mesh -------------------------------------------------------------------
@@ -472,8 +478,9 @@ def _scatter(mesh, local):
     cols = np.tile(T, (1, 6)).ravel()
     A = sp.coo_matrix(
         (local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-    )
-    return A.tocsr()
+    ).tocsr()
+    A.eliminate_zeros()    # exact zeros of the affine elements are not stored
+    return A
 
 
 @_memo
@@ -559,40 +566,106 @@ def _recover(field):
     fewer than 3 elements are extended by one vertex ring; nodes whose
     patch cannot support a fit fall back to element values and are flagged.
 
-    All fits are one batched least-squares problem over the (node, element)
-    pairs of a CSR patch matrix, taken in blocks of _RECOVERY_BLOCK nodes
-    so that the transient arrays do not grow with the mesh.
+    The normal matrices depend on the mesh alone (`_recovery_geometry`); a
+    field adds only its element moments G0 = sum_q g_q and G1 = sum_q r_q g_q^T,
+    summed over each patch by sparse products, and one batched solve.
     """
     mesh = field.mesh
     if field.analytic_gradient is not None:
         grad = field.analytic_gradient(mesh.nodes)
         hess = field.analytic_hessian(mesh.nodes)
         return RecoveredDerivatives(grad, hess, [])
-    tris = mesh.triangles
-    coords = mesh.nodes[tris]
-    dN = p2_dshape(_SPR_REF)                       # (3,6,2)
-    _, inv = _inverse_jacobian(np.einsum("tnk,qnd->tqdk", coords, dN))
-    gref = np.einsum("qnd,tn->tqd", dN, field.coeffs[tris])
-    gsamp = np.einsum("tqd,tqdk->tqk", gref, inv)          # (T,3,2) physical grads
-    psamp = np.einsum("qn,tnk->tqk", p2_shape(_SPR_REF), coords)
+    geo = _recovery_geometry(mesh)
+    gref = np.einsum("qnd,tn->tqd", p2_dshape(_SPR_REF), field.coeffs[mesh.triangles])
+    gsamp = np.einsum("tqd,tqdk->tqk", gref, geo["inv"])   # (T,3,2) physical grads
+    g0 = gsamp.sum(axis=1)                                 # (T,2)
+    g1 = np.einsum("tqk,tql->tkl", geo["r"], gsamp)        # (T,2,2): [k, l] = sum r_k g_l
+    Dx, Dy, scale = geo["dx"], geo["dy"], geo["scale"]
+    # A^T g per node with design rows [1, (x_q - c_n) / s_n], (n,3,2)
+    P = sp.csr_matrix((np.ones(Dx.nnz), Dx.indices, Dx.indptr), shape=Dx.shape)
+    rhs = (P @ np.hstack([g0, g1.reshape(-1, 4)])).reshape(-1, 3, 2)
+    rhs[:, 1:] /= scale[:, None, None]
+    rhs[:, 1] += Dx @ g0
+    rhs[:, 2] += Dy @ g0
+    sol = np.linalg.solve(geo["normal"], rhs)              # (n,3,2): gx, gy fits
+    grad = sol[:, 0]
+    hxy = 0.5 * (sol[:, 2, 0] + sol[:, 1, 1])
+    hess = np.stack([sol[:, 1, 0], sol[:, 2, 1], hxy], 1) / scale[:, None]
 
-    patches = _patch_matrix(mesh)
-    grad = np.zeros((mesh.n_nodes, 2))
-    hess = np.zeros((mesh.n_nodes, 3))
-    for n0 in range(0, mesh.n_nodes, _RECOVERY_BLOCK):
-        block = slice(n0, n0 + _RECOVERY_BLOCK)
-        grad[block], hess[block] = _fit_patches(
-            patches[block], mesh.nodes[block], gsamp, psamp
-        )
-
-    flagged = np.flatnonzero(np.diff(patches.indptr) < 3).tolist()
+    flagged = geo["flagged"]
     if flagged:
         elem_hess = _element_hessians(field)
         for n in flagged:
-            elems = patches[n].indices
+            elems = Dx.indices[Dx.indptr[n]:Dx.indptr[n + 1]]
             grad[n] = gsamp[elems].mean(axis=(0, 1))
             hess[n] = elem_hess[elems].mean(axis=0)
     return RecoveredDerivatives(grad, hess, flagged)
+
+
+@_memo
+def _recovery_geometry(mesh):
+    """What patch recovery needs of the mesh alone, for every field on it.
+
+    Each node n fits over the sample points x_q of its patch elements e, in
+    the scaled offsets (x_q - c_n) / s_n = r_q / s_n + d_ne, with r_q = x_q - xbar_e
+    the offset from the element's sample mean and d_ne = (xbar_e - c_n) / s_n.
+    The moments R1 = sum_q r_q and R2 = sum_q r_q r_q^T per element then give
+    the normal matrices as patch sums.  R1 is zero only to rounding, which
+    1 / s_n amplifies, so it is kept.  Holds the sample Jacobians "inv"
+    (T,3,2,2), the offsets "r" (T,3,2), the scale s_n, d_ne as the CSR data
+    of "dx" and "dy" on the pattern of `_patch_matrix`, the (n,3,3) normal
+    matrices (the identity where a patch cannot support a fit) and the
+    flagged nodes.
+    """
+    coords = mesh.nodes[mesh.triangles]
+    dN = p2_dshape(_SPR_REF)                               # (3,6,2)
+    _, inv = _inverse_jacobian(np.einsum("tnk,qnd->tqdk", coords, dN))
+    psamp = np.einsum("qn,tnk->tqk", p2_shape(_SPR_REF), coords)
+    xbar = psamp.mean(axis=1)                              # (T,2)
+    r = psamp - xbar[:, None]
+    R1 = r.sum(axis=1)                                     # (T,2)
+    R2 = np.einsum("tqk,tql->tkl", r, r).reshape(-1, 4)[:, [0, 3, 1]]   # xx, yy, xy
+    lo, hi = psamp.min(axis=1), psamp.max(axis=1)
+
+    patches = _patch_matrix(mesh)
+    indptr, elems = patches.indptr, patches.indices
+    lens = np.diff(indptr)
+    starts = indptr[:-1]
+    # s_n = max |x_q - c_n| over the patch's points and both coordinates;
+    # rounding is monotone, so the patch's extreme coordinates give it exactly
+    scale = np.zeros(mesh.n_nodes)
+    for k in range(2):
+        c = mesh.nodes[:, k]
+        scale = np.maximum(scale, np.maximum(
+            np.maximum.reduceat(hi[elems, k], starts) - c,
+            c - np.minimum.reduceat(lo[elems, k], starts),
+        ))
+    offsets = []
+    for k in range(2):
+        off = xbar[elems, k]   # in place from here: the CSR data, uncopied
+        off -= np.repeat(mesh.nodes[:, k], lens)
+        off /= np.repeat(scale, lens)
+        offsets.append(off)
+    dx, dy = offsets
+    Dx, Dy = (sp.csr_matrix((d, elems, indptr), shape=patches.shape) for d in offsets)
+    P = sp.csr_matrix((np.ones(len(elems)), elems, indptr), shape=patches.shape)
+    pr1, pr2 = P @ R1 / scale[:, None], P @ R2 / (scale**2)[:, None]
+    xr1, yr1 = Dx @ R1 / scale[:, None], Dy @ R1 / scale[:, None]
+    rowsum = lambda v: np.add.reduceat(v, starts)
+    # patch sums of a a^T over the sample points, a = [1, r_q / s_n + d_ne]
+    normal = np.empty((mesh.n_nodes, 3, 3))
+    normal[:, 0, 0] = 3.0 * lens
+    normal[:, 0, 1] = normal[:, 1, 0] = pr1[:, 0] + 3.0 * rowsum(dx)
+    normal[:, 0, 2] = normal[:, 2, 0] = pr1[:, 1] + 3.0 * rowsum(dy)
+    normal[:, 1, 1] = pr2[:, 0] + 2.0 * xr1[:, 0] + 3.0 * rowsum(dx * dx)
+    normal[:, 2, 2] = pr2[:, 1] + 2.0 * yr1[:, 1] + 3.0 * rowsum(dy * dy)
+    normal[:, 1, 2] = normal[:, 2, 1] = (
+        pr2[:, 2] + xr1[:, 1] + yr1[:, 0] + 3.0 * rowsum(dx * dy)
+    )
+    flagged = np.flatnonzero(lens < 3)
+    normal[flagged] = np.eye(3)
+    return {"inv": inv, "r": r, "scale": scale, "dx": Dx, "dy": Dy,
+            "normal": normal, "flagged": flagged.tolist()}
 
 
 def _patch_matrix(mesh):
@@ -615,28 +688,6 @@ def _patch_matrix(mesh):
     grown.sort_indices()
     rows = np.concatenate([np.flatnonzero(~small), np.flatnonzero(small)])
     return sp.vstack([incid[~small], grown], format="csr")[np.argsort(rows)]
-
-
-def _fit_patches(patches, centres, gsamp, psamp):
-    """Linear least-squares fits of the sampled gradients over each row of
-    `patches` about its node `centres` (n,2): the fitted values (n,2) and
-    symmetric slopes (n,3).  Rows of fewer than 3 elements get no fit; their
-    values are meaningless and left to the caller's fallback."""
-    lens = np.diff(patches.indptr)
-    starts = 3 * patches.indptr[:-1]                   # first sample point per row
-    elems = patches.indices
-    pts = (psamp[elems] - np.repeat(centres, lens, axis=0)[:, None]).reshape(-1, 2)
-    scale = np.maximum.reduceat(np.abs(pts.ravel()), 2 * starts)
-    # rows [1, x, y] of the design matrix and the data [gx, gy], per point
-    a = np.ones((3, len(pts)))
-    a[1:] = (pts / np.repeat(scale, 3 * lens)[:, None]).T
-    b = np.concatenate([a, gsamp[elems].reshape(-1, 2).T])
-    # A^T [A g] per row, (n,3,5); a row without a fit solves the identity
-    normal = np.moveaxis(np.add.reduceat(a[:, None] * b, starts, axis=2), 2, 0)
-    normal[lens < 3, :, :3] = np.eye(3)
-    sol = np.linalg.solve(normal[..., :3], normal[..., 3:])  # (n,3,2): gx, gy fits
-    hxy = 0.5 * (sol[:, 2, 0] + sol[:, 1, 1])
-    return sol[:, 0], np.stack([sol[:, 1, 0], sol[:, 2, 1], hxy], 1) / scale[:, None]
 
 
 # -- solvers ----------------------------------------------------------------
@@ -776,8 +827,9 @@ def eval_gradient(field, point, elements):
     under each element's vertex map."""
     mesh = field.mesh
     tris = mesh.triangles[elements]
-    _, inv = mesh.vertex_jacobian()
-    ref = np.einsum("edk,ek->ed", inv[elements], point - mesh.nodes[tris[:, 0]])
+    v = mesh.nodes[tris[:, :3]]
+    _, inv = _inverse_jacobian(np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=1))
+    ref = np.einsum("edk,ek->ed", inv, point - v[:, 0])
     e = int(np.argmax(np.minimum(ref.min(axis=1), 1.0 - ref.sum(axis=1))))
     coords = mesh.nodes[tris[e]]
     dN = p2_dshape(ref[e])[0]

@@ -229,6 +229,26 @@ def test_distances_vectorized_matches_scalar():
         assert abs(v - distance_to_boundary(d, p)) < 1e-8
 
 
+def test_distances_blocked_match_per_block_calls():
+    # more than two blocks; each point's distance does not depend on which
+    # other points share its block
+    from serrinlab.geometry import _DISTANCE_BLOCK
+
+    dom = perturbed_disk(0.05, 2)
+    rng = np.random.default_rng(3)
+    n = 2 * _DISTANCE_BLOCK + 1000
+    angle = rng.uniform(0.0, 2 * np.pi, n)
+    depth = rng.uniform(0.0, 0.95, n)
+    pts = dom.center + (depth * dom.radius(angle))[:, None] * np.stack(
+        [np.cos(angle), np.sin(angle)], axis=1
+    )
+    vec = distances_to_boundary(dom, pts)
+    chunks = [distances_to_boundary(dom, pts[i:i + 777]) for i in range(0, n, 777)]
+    assert np.array_equal(vec, np.concatenate(chunks))
+    for i in rng.choice(n, 20, replace=False):
+        assert abs(vec[i] - distance_to_boundary(dom, pts[i])) <= 1e-12
+
+
 def test_distances_ellipse_axis_closed_form():
     # inside the evolute (|x0| < (a^2 - b^2)/a = 1.5) the nearest boundary
     # points of (x0, 0) are off the axis: delta = b sqrt(1 - x0^2/(a^2 - b^2))

@@ -13,6 +13,7 @@ from conftest import fit_order, h1_seminorm_error, l2_error
 from serrinlab._quadrature import _D4_GROUPS, _D8_GROUPS, triangle_rule
 from serrinlab.errors import MeshTooFine, NonPositiveRadius, NotStarShaped
 from serrinlab.geometry import build_domain, domain_from_spec
+from serrinlab import meshfem
 from serrinlab.meshfem import (
     _SPR_REF,
     FemField,
@@ -21,10 +22,12 @@ from serrinlab.meshfem import (
     _element_stiffness,
     _inverse_jacobian,
     _recover,
+    _reference_matrices,
     _scatter,
     assemble_mass,
     assemble_stiffness,
     boundary_load_vector,
+    eval_gradient,
     generate_mesh,
     p2_dshape,
     p2_shape,
@@ -200,6 +203,36 @@ def _assert_matches_all_degree8(mesh):
 def test_assembly_matches_all_degree8(disk, pdisk, ellipse):
     for dom in (disk, pdisk, ellipse):
         _assert_matches_all_degree8(generate_mesh(dom, 0.1))
+
+
+# (vertex, opposite midnode) slots of an element: their coupling vanishes on
+# an affine P2 element
+_OPPOSITE = ((0, 3), (1, 4), (2, 5))
+
+
+def test_reference_stiffness_is_exact():
+    bary, w = triangle_rule(4)
+    dN = p2_dshape(bary[:, 1:])
+    S = 0.5 * np.einsum("q,qid,qje->deij", w, dN, dN)
+    S6 = 6.0 * np.stack([S[0, 0], S[1, 1], S[0, 1] + S[1, 0]])
+    assert np.abs(S6 - np.rint(S6)).max() <= 1e-13
+    ref = _reference_matrices()[0].reshape(3, 6, 6)
+    assert np.array_equal(ref, np.rint(S6) / 6.0)
+    for a, b in _OPPOSITE:
+        assert not ref[:, a, b].any() and not ref[:, b, a].any()
+
+
+def test_stiffness_stores_no_structural_zero(pdisk, ellipse):
+    for dom in (pdisk, ellipse):
+        mesh = generate_mesh(dom, 0.1)
+        K = assemble_stiffness(mesh)
+        assert K.has_canonical_format and (K.data != 0).all()
+        pattern = K.astype(bool)
+        affine = np.setdiff1d(np.arange(len(mesh.triangles)), mesh.curved)
+        for a, b in _OPPOSITE:
+            rows, cols = mesh.triangles[affine, a], mesh.triangles[affine, b]
+            assert not np.asarray(pattern[rows, cols]).any()
+            assert not np.asarray(pattern[cols, rows]).any()
 
 
 def test_curved_elements_are_the_boundary_edge_layer(disk, pdisk, ellipse):
@@ -379,13 +412,32 @@ def _loop_recover(field):
 
 
 def test_recover_matches_loop_reference(pdisk, ellipse):
-    for dom in (pdisk, ellipse):
-        f = solve_torsion_dirichlet(generate_mesh(dom, 0.1))
-        rec = _recover(f)
-        grad, hess, flagged = _loop_recover(f)
-        assert np.abs(rec.gradient - grad).max() <= 1e-12 * np.abs(grad).max()
-        assert np.abs(rec.hessian - hess).max() <= 1e-12 * np.abs(hess).max()
-        assert rec.flagged == flagged
+    two_modes = build_domain(1.0, [(2, 0.03, 0.04), (3, 0.02, -0.02)])
+    for dom in (pdisk, ellipse, two_modes):
+        mesh = generate_mesh(dom, 0.1)
+        for f in (solve_torsion_dirichlet(mesh), solve_torsion_neumann(mesh)):
+            rec = _recover(f)
+            grad, hess, flagged = _loop_recover(f)
+            assert np.abs(rec.gradient - grad).max() <= 1e-12 * np.abs(grad).max()
+            assert np.abs(rec.hessian - hess).max() <= 1e-12 * np.abs(hess).max()
+            assert rec.flagged == flagged
+
+
+def test_recovery_geometry_built_once_per_mesh(pdisk, monkeypatch):
+    # the patch geometry depends on the mesh alone: a second field reuses it
+    calls = []
+    patch_matrix = meshfem._patch_matrix
+
+    def counted(mesh):
+        calls.append(mesh)
+        return patch_matrix(mesh)
+
+    monkeypatch.setattr(meshfem, "_patch_matrix", counted)
+    mesh = generate_mesh(pdisk, 0.2)
+    x, y = mesh.nodes.T
+    for coeffs in (x**2 - y, x * y + 3.0 * y**2):
+        FemField(mesh, coeffs).recovered
+    assert len(calls) == 1
 
 
 def test_recover_fallback_two_elements():
@@ -414,6 +466,29 @@ def test_recover_ellipse_torsion_hessian(ellipse_dirichlet):
     interior = (nodes[:, 0] / 2) ** 2 + nodes[:, 1] ** 2 < 0.7
     err = np.abs(H[interior] - np.array([0.4, 1.6, 0.0]))
     assert err.max() < 1e-4
+
+
+def test_eval_gradient_reads_only_the_patch_elements(pdisk):
+    # the vertex maps of the patch alone give the gradient of the vertex
+    # maps of the whole mesh, bit for bit
+    mesh = generate_mesh(pdisk, 0.1)
+    x, y = mesh.nodes.T
+    f = FemField(mesh, x**2 - 3.0 * x * y + 0.5 * y**2)
+    _, inv_all = mesh.vertex_jacobian()
+    rng = np.random.default_rng(5)
+    for n in rng.choice(np.flatnonzero(~mesh.boundary_mask), 20, replace=False):
+        elements = mesh.node_elements[n].indices
+        point = mesh.nodes[n] + 0.01 * mesh.h_max * rng.standard_normal(2)
+        tris = mesh.triangles[elements]
+        ref = np.einsum("edk,ek->ed", inv_all[elements], point - mesh.nodes[tris[:, 0]])
+        e = int(np.argmax(np.minimum(ref.min(axis=1), 1.0 - ref.sum(axis=1))))
+        dN = p2_dshape(ref[e])[0]
+        J = np.einsum("nk,nd->dk", mesh.nodes[tris[e]], dN)
+        want = np.linalg.solve(J, f.coeffs[tris[e]] @ dN)
+        got = eval_gradient(f, point, elements)
+        assert np.array_equal(got, want)
+        exact = [2.0 * point[0] - 3.0 * point[1], -3.0 * point[0] + point[1]]
+        assert np.abs(got - exact).max() <= 1e-12
 
 
 # -- integration ------------------------------------------------------------------
