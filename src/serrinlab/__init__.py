@@ -21,7 +21,6 @@ from .meshfem import (
     solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
     solve_torsion_neumann,
-    volume_integral,
 )
 from .boundary import (
     check_integration_by_parts,

@@ -22,6 +22,7 @@ from .errors import InvalidSpec, SerrinLabError
 from .geometry import domain_from_spec
 from .meshfem import (
     generate_mesh,
+    neumann_flux,
     solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
     solve_torsion_neumann,
@@ -154,6 +155,14 @@ def _finite_float(text):
     return value
 
 
+def _holder_exponent(text):
+    """argparse type of --alpha: a Hoelder exponent in (0, 1]."""
+    value = _finite_float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"needs an exponent in (0, 1], got {text!r}")
+    return value
+
+
 def _load_domain(args):
     """The domain of --domain; an unreadable or non-JSON file is an InvalidSpec."""
     try:
@@ -192,8 +201,8 @@ def cmd_solve(args, run):
         "center_value": float(field.coeffs[0]),
         "trace_oscillation": float(np.ptp(tr)),
     }
-    if hasattr(field, "R_disc"):
-        report["R_disc"] = field.R_disc
+    if args.problem == "torsion-neumann":
+        report["R_disc"] = neumann_flux(mesh)
     report["domain"] = domain.spec_dict()
     run.write_json("solve_report.json", report)
     return run.finish(PASS)
@@ -409,7 +418,7 @@ def build_parser():
             sp.add_argument("--domain", required=True, help="domain spec JSON path")
         sp.add_argument("--h-target", dest="h_target", type=_finite_float, default=0.05)
         if alpha:
-            sp.add_argument("--alpha", type=_finite_float, default=0.5)
+            sp.add_argument("--alpha", type=_holder_exponent, default=0.5)
 
     sp = sub.add_parser("solve", help="solve one boundary value problem")
     common(sp)

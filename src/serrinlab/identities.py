@@ -33,7 +33,7 @@ from .boundary import (
     surface_integral,
 )
 from .geometry import radii_about
-from .meshfem import SOURCE, FemField, quad_integral, recovered_hessian_at_quad
+from .meshfem import SOURCE, FemField, neumann_flux, quad_integral, recovered_hessian_at_quad
 
 RESIDUAL_FLOOR = 1e-14
 RIGIDITY_TOL = 1e-6   # rigidity_test counts an identity side at most this as <= 0
@@ -120,12 +120,6 @@ def paraboloid_boundary(mesh, z):
     """Analytic q_nu and q_tau for q = |x - z|^2 / 2 on the boundary."""
     rel = mesh.nodes[mesh.boundary_idx] - np.asarray(z, dtype=float)
     return normal_tangential(mesh, rel)
-
-
-def flux_constant(field):
-    """R_disc of a constant-flux solve, else the domain's R = 2|Omega|/|Gamma|."""
-    R = getattr(field, "R_disc", None)
-    return field.mesh.domain.measures.R if R is None else R
 
 
 def paraboloid_field(mesh, z) -> FemField:
@@ -290,7 +284,7 @@ def eval_neumann_identity(u_field, z) -> IdentityReport:
     mesh = u_field.mesh
     bu = _BoundaryData(u_field)
     q_nu, _ = paraboloid_boundary(mesh, z)
-    R = flux_constant(u_field)
+    R = neumann_flux(mesh)
     h_nu = q_nu - bu.u_nu
 
     f_quad = _ubar_minus_u_quad(u_field, bu.ubar)

@@ -19,15 +19,18 @@ elements (no boundary-edge midnode, so every midnode at its edge midpoint)
 get the closed forms detJ * sum_de C_de S_de and detJ * M_ref from 6x6
 reference matrices, one matrix product over the mesh; only the curved
 boundary layer is integrated by the degree-8 rule, with operators built for
-those elements alone.  Volume integrals use the degree-4 operators of every
-element, batched matrix products memoized per mesh.  The reference
-stiffness entries are exact multiples of 1/6, so K stores no coupling that
-vanishes on an affine element and SuperLU orders only true nonzeros.  The
-node -> element incidence is one cached CSR matrix (`Mesh.node_elements`);
-patch recovery of second derivatives reads its patches from it.  Its normal
-matrices depend on the mesh alone and are built once per mesh from
-per-element moments of the sample points; each field adds its own moments,
-patch sums by sparse products and one batched solve.
+those elements alone.  The reference stiffness and mass entries are exact
+multiples of 1/6 and 1/360, so K and M store no coupling that vanishes on
+an affine element and SuperLU orders only true nonzeros.  Integrals of P2
+fields are mass-matrix products, exact per element class; anything else is
+integrated by the one degree-4 volume rule (`Mesh.element_ops`), memoized
+per mesh.  The constant flux R_h = 2 |Omega_h| / |Gamma_h| is one per-mesh
+value (`neumann_flux`).  The node -> element incidence is one cached CSR
+matrix (`Mesh.node_elements`); patch recovery of second derivatives reads
+its patches from it.  Its normal matrices depend on the mesh alone and are
+built once per mesh from per-element moments of the sample points; each
+field adds its own moments, patch sums by sparse products and one batched
+solve.
 """
 
 import functools
@@ -45,7 +48,7 @@ SOURCE = 2.0          # constant Laplacian of the torsion field in the plane
 DEFAULT_DOF_CAP = 400_000
 BOUNDARY_REFINE = 4   # angular refinement factor of the outermost rings
 ASSEMBLY_DEGREE = 8   # quadrature degree of K and M on curved elements only
-VOLUME_DEGREE = 4     # quadrature degree for volume_integral
+VOLUME_DEGREE = 4     # quadrature degree of Mesh.element_ops, the volume rule
 
 _FAN_MAX = 24         # spoke cap keeping fan apex angles fat
 _GROWTH = 1.6         # ring-to-ring spacing growth walking inward
@@ -155,17 +158,19 @@ def _reference_matrices():
     """Reference stiffness blocks [S00, S11, S01 + S10] (3,36) and mass (36,),
     S_de = integral of dN_d dN_e^T over the reference triangle.  The degree-4
     rule is exact for both integrands (degree 2 and 4).  Every stiffness
-    entry is a multiple of 1/6, so the blocks are rounded to it: the
-    vertex/opposite-midnode couplings are then exactly zero.  Built on first
-    use: importing the module does no numerics."""
+    entry is a multiple of 1/6 and every mass entry one of 1/360, so both are
+    rounded to it: the vertex/opposite-midnode stiffness and the
+    vertex/adjacent-midnode mass couplings are then exactly zero.  Built on
+    first use: importing the module does no numerics."""
     bary, w = triangle_rule(4)
     N, dN = p2_shape(bary[:, 1:]), p2_dshape(bary[:, 1:])
     S = 0.5 * np.einsum("q,qid,qje->deij", w, dN, dN)
     S6 = 6.0 * np.stack([S[0, 0], S[1, 1], S[0, 1] + S[1, 0]]).reshape(3, 36)
-    if np.abs(S6 - np.rint(S6)).max() > 1e-13:
-        raise AssertionError("reference stiffness is not a multiple of 1/6")
-    M = 0.5 * np.einsum("q,qi,qj->ij", w, N, N)
-    return np.rint(S6) / 6.0, M.ravel()
+    M360 = 360.0 * 0.5 * np.einsum("q,qi,qj->ij", w, N, N).ravel()
+    for scaled, unit in ((S6, "1/6"), (M360, "1/360")):
+        if np.abs(scaled - np.rint(scaled)).max() > 1e-13:
+            raise AssertionError(f"reference entries are not multiples of {unit}")
+    return np.rint(S6) / 6.0, np.rint(M360) / 360.0
 
 
 # -- mesh -------------------------------------------------------------------
@@ -195,9 +200,9 @@ class Mesh:
         self._cache = {}
 
     @_memo
-    def element_ops(self, degree):
-        """Element operators of the triangle rule of the given degree."""
-        return _quad_ops(self.nodes[self.triangles], degree)
+    def element_ops(self):
+        """Element operators of the volume rule (degree VOLUME_DEGREE)."""
+        return _quad_ops(self.nodes[self.triangles], VOLUME_DEGREE)
 
     @property
     def curved(self):
@@ -418,7 +423,7 @@ def generate_mesh(domain, h_target):
     )
     mesh.h_max = float(mesh.edge_lengths().max())
 
-    areas = mesh.element_ops(VOLUME_DEGREE)["detJ"]
+    areas = mesh.element_ops()["detJ"]
     if not (areas > 0).all():
         raise SolverFailure("mesh contains inverted elements")
     return mesh
@@ -522,12 +527,12 @@ class FemField:
     def trace_values(self):
         return self.coeffs[self.mesh.boundary_idx]
 
-    def gradient_at_quad(self, degree=VOLUME_DEGREE):
-        ops = self.mesh.element_ops(degree)
+    def gradient_at_quad(self):
+        ops = self.mesh.element_ops()
         return np.einsum("tqnk,tn->tqk", ops["grad"], self.coeffs[self.mesh.triangles])
 
-    def values_at_quad(self, degree=VOLUME_DEGREE):
-        return nodal_to_quad(self.mesh, self.coeffs, degree)
+    def values_at_quad(self):
+        return nodal_to_quad(self.mesh, self.coeffs)
 
     @property
     @_memo
@@ -746,24 +751,22 @@ def solve_torsion_dirichlet(mesh) -> FemField:
     return _solve_interior(mesh, np.zeros(mesh.n_nodes), b, "torsion_dirichlet")
 
 
-def solve_torsion_neumann(mesh) -> FemField:
-    """Solve Laplacian(u) = 2 with u_nu = R_disc, zero mean over Omega.
+@_memo
+def neumann_flux(mesh):
+    """R_h = 2 |Omega_h| / |Gamma_h| = 2 sum(m) / sum(g), the constant flux of
+    the Neumann torsion problem on this mesh.  The discrete measures come
+    from the same quadratures as the load vectors, so the singular system
+    is compatible to roundoff."""
+    return SOURCE * lumped_mass(mesh).sum() / boundary_load_vector(mesh).sum()
 
-    R_disc = 2 |Omega_h| / |Gamma_h| uses the discrete measures produced by
-    the same quadratures as the load vectors, so the singular system is
-    compatible to roundoff; the residual is checked against the full K.
-    """
-    m = lumped_mass(mesh)
-    g = boundary_load_vector(mesh)
-    area_h = m.sum()
-    r_disc = SOURCE * area_h / g.sum()
-    b = r_disc * g - SOURCE * m
+
+def solve_torsion_neumann(mesh) -> FemField:
+    """Solve Laplacian(u) = 2 with u_nu = neumann_flux(mesh), zero mean over
+    Omega; the residual is checked against the full K."""
+    b = neumann_flux(mesh) * boundary_load_vector(mesh) - SOURCE * lumped_mass(mesh)
     u = solve_zero_mean(mesh, b)
     _check_residual(assemble_stiffness(mesh), u, b, "torsion-neumann")
-    field = FemField(mesh, u, kind="torsion_neumann")
-    field.R_disc = r_disc
-    field.area_h = area_h
-    return field
+    return FemField(mesh, u, kind="torsion_neumann")
 
 
 def solve_harmonic_dirichlet(mesh, g) -> FemField:
@@ -781,27 +784,9 @@ def solve_harmonic_dirichlet(mesh, g) -> FemField:
 
 # -- integration -------------------------------------------------------------
 
-def volume_integral(mesh, integrand, degree=VOLUME_DEGREE) -> float:
-    """Integrate over the mesh with the order-4 triangle rule.
-
-    integrand: callable(points (P,2)) -> (P,), a nodal array (n_nodes,),
-    or a FemField.
-    """
-    if isinstance(integrand, FemField):
-        integrand = integrand.coeffs
-    if callable(integrand):
-        qp = quad_points(mesh, degree)
-        vals = np.asarray(integrand(qp.reshape(-1, 2))).reshape(qp.shape[:2])
-    else:
-        vals = np.asarray(integrand, dtype=float)
-        if vals.shape == (mesh.n_nodes,):
-            vals = nodal_to_quad(mesh, vals, degree)  # else already (T, Q)
-    return quad_integral(mesh, vals, degree)
-
-
-def nodal_to_quad(mesh, nodal, degree=VOLUME_DEGREE):
+def nodal_to_quad(mesh, nodal):
     """Interpolate nodal values to quadrature points, shape (T, Q)."""
-    ops = mesh.element_ops(degree)
+    ops = mesh.element_ops()
     return np.einsum("qn,tn->tq", ops["N"], np.asarray(nodal)[mesh.triangles])
 
 
@@ -810,13 +795,10 @@ def recovered_hessian_at_quad(field):
     return [nodal_to_quad(field.mesh, h) for h in field.recovered.hessian.T]
 
 
-def quad_integral(mesh, vals_tq, degree=VOLUME_DEGREE) -> float:
-    ops = mesh.element_ops(degree)
+def quad_integral(mesh, vals_tq) -> float:
+    """Integral of values (T, Q) at the volume quadrature points."""
+    ops = mesh.element_ops()
     return float(0.5 * np.einsum("q,tq,tq->", ops["w"], ops["detJ"], vals_tq))
-
-
-def quad_points(mesh, degree=VOLUME_DEGREE):
-    return mesh.element_ops(degree)["qp"]
 
 
 # -- point evaluation -------------------------------------------------------

@@ -15,16 +15,15 @@ import numpy as np
 
 from .boundary import _frames, audit_neumann, surface_integral
 from .errors import ConvergenceFailure
-from .identities import flux_constant, paraboloid_boundary, paraboloid_field
+from .identities import paraboloid_boundary, paraboloid_field
 from .meshfem import (
     FemField,
     _memo,
     assemble_mass,
     assemble_stiffness,
-    nodal_to_quad,
-    quad_integral,
+    lumped_mass,
+    neumann_flux,
     solve_zero_mean,
-    volume_integral,
 )
 
 MAX_ITERATIONS = 500
@@ -117,19 +116,21 @@ def check_l2_oscillation_bound(u_field, z) -> OscillationL2Report:
                                         / sqrt(nu2 * sigma2).
 
     Both the volume mean (used in the bound) and the boundary mean are
-    reported.  The slack rhs - lhs must not drop below the discretization
-    band; it is reported, never clamped.
+    reported.  h is a P2 field, so its volume integrals are the exact
+    mass-matrix products m^T h and dev^T M dev (m the lumped mass).  The
+    slack rhs - lhs must not drop below the discretization band; it is
+    reported, never clamped.
     """
     audit_neumann(u_field)
     mesh = u_field.mesh
     h = paraboloid_field(mesh, z).coeffs - u_field.coeffs
-    area = volume_integral(mesh, lambda p: np.ones(len(p)))
-    h_mean = volume_integral(mesh, h) / area
+    m = lumped_mass(mesh)
+    h_mean = (m @ h) / m.sum()
     dev = h - h_mean
-    lhs = float(np.sqrt(quad_integral(mesh, nodal_to_quad(mesh, dev) ** 2)))
+    lhs = float(np.sqrt(dev @ (assemble_mass(mesh) @ dev)))
 
     q_nu, _ = paraboloid_boundary(mesh, z)
-    flux_sq = (flux_constant(u_field) - q_nu) ** 2
+    flux_sq = (neumann_flux(mesh) - q_nu) ** 2
     flux_dev = float(np.sqrt(surface_integral(mesh, flux_sq)))
     h_mean_boundary = surface_integral(mesh, h[mesh.boundary_idx]) / _frames(mesh).length
 

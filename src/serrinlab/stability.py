@@ -33,7 +33,6 @@ from .identities import (
     eval_general_identity,
     eval_mother_identity,
     eval_neumann_identity,
-    flux_constant,
     hess_h_sq_quad,
     paraboloid_field,
 )
@@ -42,8 +41,8 @@ from .meshfem import (
     _memo,
     eval_gradient,
     generate_mesh,
+    neumann_flux,
     quad_integral,
-    quad_points,
     solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
     solve_torsion_neumann,
@@ -196,7 +195,7 @@ def _node_distances(mesh):
 
 @_memo
 def _quad_distances(mesh):
-    qp = quad_points(mesh)
+    qp = mesh.element_ops()["qp"]
     return distances_to_boundary(mesh.domain, qp.reshape(-1, 2)).reshape(qp.shape[:2])
 
 
@@ -476,7 +475,7 @@ def strong_deviation_pipeline(u_field, alpha=DEFAULT_ALPHA) -> StrongDeviationRe
     f = FemField(mesh, u_field.coeffs - w.coeffs, kind="generic")
     trace_res = float(np.abs(f.trace_values()).max())
     lap_res = audit_torsion(f)
-    dev = flux_constant(u_field) - normal_derivative(f)
+    dev = neumann_flux(mesh) - normal_derivative(f)
     flux_l2 = math.sqrt(surface_integral(mesh, dev**2))
     hol = holder_seminorm(mesh, dev, alpha)
     flux_c0 = float(np.abs(dev).max()) + hol

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import serrinlab
-from serrinlab import cli
+from serrinlab import cli, stability
 from serrinlab.cli import main
 from serrinlab.geometry import EllipseDomain, build_domain
 from serrinlab.meshfem import generate_mesh, solve_torsion_neumann
@@ -290,16 +290,34 @@ def test_missing_domain_file_is_operational_error(tmp_path, capsys, content):
         (None, ["strong-deviation", "--amplitudes", "0,0.05,0.1", "--h-target", "0.3"]),
         (None, ["strong-deviation", "--amplitudes=-0.05,-0.1,-0.2", "--h-target", "0.3"]),
         (None, ["sweep", "--dof-cap", "10", "--h-target", "0.3"]),
+        (None, ["sweep", "--alpha", "0", "--h-target", "0.3"]),
+        (None, ["sweep", "--alpha", "1.5", "--h-target", "0.3"]),
+        ({"ellipse": [2, 1]}, ["check-bounds", "--alpha", "0", "--h-target", "0.3"]),
+        ({"ellipse": [2, 1]}, ["check-bounds", "--alpha", "1.5", "--h-target", "0.3"]),
+        ({"ellipse": [2, 1]}, ["check-bounds", "--alpha", "-1", "--h-target", "0.3"]),
+        (None, ["strong-deviation", "--amplitudes", "0.025,0.05,0.1", "--alpha", "0"]),
+        (None, ["strong-deviation", "--amplitudes", "0.025,0.05,0.1", "--alpha", "1.5"]),
+        (None, ["strong-deviation", "--amplitudes", "0.025,0.05,0.1", "--alpha", "-1"]),
     ],
 )
-def test_bad_input_is_operational_error(tmp_path, capsys, spec, argv):
+def test_bad_input_is_operational_error(tmp_path, capsys, monkeypatch, spec, argv):
     if spec is not None:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         argv = argv + ["--domain", str(path)]
+    meshes = []
+
+    def recording(*args):
+        meshes.append(args)
+        return generate_mesh(*args)
+
+    for module in (cli, stability):
+        monkeypatch.setattr(module, "generate_mesh", recording)
     code = main(["--out", str(tmp_path / "r")] + argv)
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+    if "--alpha" in argv:
+        assert meshes == []   # a bad exponent is rejected before any mesh is built
 
 
 def test_failed_run_writes_manifest(tmp_path, capsys):

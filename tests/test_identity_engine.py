@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import shifted
+from conftest import domain_or_reject, domain_specs, shifted
 from serrinlab.errors import NotDirichlet, NotNeumann, NotTorsion
 from serrinlab.identities import (
     eval_classical_identity,
@@ -13,7 +14,12 @@ from serrinlab.identities import (
     rigidity_test,
 )
 from serrinlab.meshfem import (
+    _check_residual,
+    assemble_stiffness,
+    boundary_load_vector,
     generate_mesh,
+    lumped_mass,
+    neumann_flux,
     solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
     solve_torsion_neumann,
@@ -146,7 +152,6 @@ def test_neumann_rejects_dirichlet(ellipse_dirichlet):
 def test_neumann_gauge_shift(pdisk_neumann):
     rep = eval_neumann_identity(pdisk_neumann, (0.0, 0.0))
     moved = shifted(pdisk_neumann, 17.3)
-    assert moved.R_disc == pdisk_neumann.R_disc
     rep2 = eval_neumann_identity(moved, (0.0, 0.0))
     assert abs(rep.abs_residual - rep2.abs_residual) <= 1e-12
     for k in rep.terms:
@@ -221,3 +226,43 @@ def test_rigidity_volume_monotone_in_amplitude(disk):
         u = solve_torsion_neumann(generate_mesh(dom, 0.1))
         vols.append(rigidity_test(u, (0.0, 0.0)).volume_value)
     assert all(b > a for a, b in zip(vols, vols[1:]))
+
+
+# -- solver and identity invariants over random domains ----------------------------------
+
+
+@settings(max_examples=20)
+@given(spec=domain_specs)
+def test_solver_and_identity_invariants(spec):
+    dom = domain_or_reject(spec)
+    mesh = generate_mesh(dom, 0.25 * dom.rho0)
+    m, g = lumped_mass(mesh), boundary_load_vector(mesh)
+    K = assemble_stiffness(mesh)
+    # identity terms grow like rho0^4; |Omega_h| rho0^2 stays away from 0 on a disk
+    scale = m.sum() * dom.rho0**2
+
+    un = solve_torsion_neumann(mesh)
+    R = neumann_flux(mesh)
+    assert abs(R * g.sum() - 2.0 * m.sum()) <= 1e-14 * m.sum()
+    assert abs(m @ un.coeffs) <= 1e-14 * scale
+    assert _check_residual(K, un.coeffs, R * g - 2.0 * m, "neumann") <= 1e-12
+
+    ud = solve_torsion_dirichlet(mesh)
+    assert not ud.trace_values().any()
+    free = ~mesh.boundary_mask
+    rel = _check_residual(K[free][:, free], ud.coeffs[free], -2.0 * m[free], "dirichlet")
+    assert rel <= 1e-12
+
+    z = dom.center
+    for u in (un, ud):
+        rep_a, rep_b = eval_mother_identity(u, z)
+        assert rep_a.lhs == rep_b.lhs
+        assert abs(rep_a.rhs - rep_b.rhs) <= 1e-13 * scale
+        rep_g = eval_general_identity(u, paraboloid_field(mesh, z))
+        assert abs(rep_g.lhs - rep_a.lhs) <= 1e-13 * scale
+        assert abs(rep_g.rhs - rep_a.rhs) <= 1e-13 * scale
+
+    base = eval_neumann_identity(un, z)
+    moved = eval_neumann_identity(shifted(un, 17.3), z)
+    for k in base.terms:
+        assert abs(base.terms[k] - moved.terms[k]) <= 1e-13 * scale

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fit_order, h1_seminorm_error, l2_error
+from conftest import (
+    degree8_ops,
+    domain_or_reject,
+    domain_specs,
+    fit_order,
+    h1_seminorm_error,
+    l2_error,
+)
 from serrinlab._quadrature import _D4_GROUPS, _D8_GROUPS, triangle_rule
-from serrinlab.errors import MeshTooFine, NonPositiveRadius, NotStarShaped
-from serrinlab.geometry import build_domain, domain_from_spec
+from serrinlab.errors import MeshTooFine
+from serrinlab.geometry import build_domain
 from serrinlab import meshfem
 from serrinlab.meshfem import (
     _SPR_REF,
@@ -29,13 +36,14 @@ from serrinlab.meshfem import (
     boundary_load_vector,
     eval_gradient,
     generate_mesh,
+    lumped_mass,
+    neumann_flux,
     p2_dshape,
     p2_shape,
     quad_integral,
     solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
     solve_torsion_neumann,
-    volume_integral,
 )
 
 
@@ -171,8 +179,7 @@ def test_element_operators_match_einsum(pdisk, ellipse):
     for dom in (pdisk, ellipse):
         mesh = generate_mesh(dom, 0.1)
         coords = mesh.nodes[mesh.triangles]
-        for degree in (4, 8):
-            ops = mesh.element_ops(degree)
+        for degree, ops in ((4, mesh.element_ops()), (8, degree8_ops(mesh))):
             # reference: the einsum forms at the same quadrature points
             bary, _ = triangle_rule(degree)
             N, dN = p2_shape(bary[:, 1:]), p2_dshape(bary[:, 1:])
@@ -182,7 +189,6 @@ def test_element_operators_match_einsum(pdisk, ellipse):
             assert _per_element_rel(ops["detJ"], detJ) <= 1e-12
             assert _per_element_rel(ops["grad"], grad) <= 1e-12
             assert _per_element_rel(ops["qp"], qp) <= 1e-12
-        ops = mesh.element_ops(8)
         Ke = 0.5 * np.einsum(
             "q,tq,tqik,tqjk->tij", ops["w"], ops["detJ"], ops["grad"], ops["grad"]
         )
@@ -191,7 +197,7 @@ def test_element_operators_match_einsum(pdisk, ellipse):
 
 def _assert_matches_all_degree8(mesh):
     """K and M equal the degree-8 rule on every element to 1e-12 of max entry."""
-    ops = mesh.element_ops(8)
+    ops = degree8_ops(mesh)
     K8 = _scatter(mesh, _element_stiffness(ops))
     M8 = _scatter(
         mesh, 0.5 * np.einsum("q,tq,qi,qj->tij", ops["w"], ops["detJ"], ops["N"], ops["N"])
@@ -205,34 +211,46 @@ def test_assembly_matches_all_degree8(disk, pdisk, ellipse):
         _assert_matches_all_degree8(generate_mesh(dom, 0.1))
 
 
-# (vertex, opposite midnode) slots of an element: their coupling vanishes on
-# an affine P2 element
+# slot pairs whose coupling vanishes on an affine P2 element: (vertex,
+# opposite midnode) in the stiffness, (vertex, adjacent midnode) in the mass
 _OPPOSITE = ((0, 3), (1, 4), (2, 5))
+_ADJACENT = ((0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4))
 
 
 def test_reference_stiffness_is_exact():
     bary, w = triangle_rule(4)
-    dN = p2_dshape(bary[:, 1:])
+    N, dN = p2_shape(bary[:, 1:]), p2_dshape(bary[:, 1:])
     S = 0.5 * np.einsum("q,qid,qje->deij", w, dN, dN)
     S6 = 6.0 * np.stack([S[0, 0], S[1, 1], S[0, 1] + S[1, 0]])
+    M360 = 360.0 * 0.5 * np.einsum("q,qi,qj->ij", w, N, N)
     assert np.abs(S6 - np.rint(S6)).max() <= 1e-13
-    ref = _reference_matrices()[0].reshape(3, 6, 6)
-    assert np.array_equal(ref, np.rint(S6) / 6.0)
+    assert np.abs(M360 - np.rint(M360)).max() <= 1e-13
+    ref_k, ref_m = _reference_matrices()
+    ref_k, ref_m = ref_k.reshape(3, 6, 6), ref_m.reshape(6, 6)
+    assert np.array_equal(ref_k, np.rint(S6) / 6.0)
+    assert np.array_equal(ref_m, np.rint(M360) / 360.0)
     for a, b in _OPPOSITE:
-        assert not ref[:, a, b].any() and not ref[:, b, a].any()
+        assert not ref_k[:, a, b].any() and not ref_k[:, b, a].any()
+    for a, b in _ADJACENT:
+        assert ref_m[a, b] == 0.0 and ref_m[b, a] == 0.0
 
 
 def test_stiffness_stores_no_structural_zero(pdisk, ellipse):
+    # nor does the mass matrix, for node pairs that no curved element holds
     for dom in (pdisk, ellipse):
         mesh = generate_mesh(dom, 0.1)
-        K = assemble_stiffness(mesh)
-        assert K.has_canonical_format and (K.data != 0).all()
-        pattern = K.astype(bool)
-        affine = np.setdiff1d(np.arange(len(mesh.triangles)), mesh.curved)
-        for a, b in _OPPOSITE:
-            rows, cols = mesh.triangles[affine, a], mesh.triangles[affine, b]
-            assert not np.asarray(pattern[rows, cols]).any()
-            assert not np.asarray(pattern[cols, rows]).any()
+        in_curved = np.isin(np.arange(len(mesh.triangles)), mesh.curved)
+        held = _scatter(mesh, in_curved[:, None, None] * np.ones((6, 6))).astype(bool)
+        affine = np.flatnonzero(~in_curved)
+        for A, pairs in ((assemble_stiffness(mesh), _OPPOSITE),
+                         (assemble_mass(mesh), _ADJACENT)):
+            assert A.has_canonical_format and (A.data != 0).all()
+            pattern = A.astype(bool)
+            for a, b in pairs:
+                rows, cols = mesh.triangles[affine, a], mesh.triangles[affine, b]
+                for i, j in ((rows, cols), (cols, rows)):
+                    stored = np.asarray(pattern[i, j]) & ~np.asarray(held[i, j])
+                    assert not stored.any()
 
 
 def test_curved_elements_are_the_boundary_edge_layer(disk, pdisk, ellipse):
@@ -248,12 +266,20 @@ def test_curved_elements_are_the_boundary_edge_layer(disk, pdisk, ellipse):
             assert np.array_equal(x[:, 3 + slot], 0.5 * (x[:, a] + x[:, b]))
 
 
-def test_assembly_builds_no_whole_mesh_degree8_ops(pdisk):
+def test_assembly_builds_no_whole_mesh_degree8_ops(pdisk, monkeypatch):
     # the (T,16,6,2) degree-8 operators of a whole mesh take 68 MB at h=0.025
+    quad_ops, built = meshfem._quad_ops, []
+
+    def recording(coords, degree):
+        built.append((degree, len(coords)))
+        return quad_ops(coords, degree)
+
+    monkeypatch.setattr(meshfem, "_quad_ops", recording)
     mesh = generate_mesh(pdisk, 0.1)
     assemble_stiffness(mesh)
     assemble_mass(mesh)
-    assert (Mesh.element_ops.__wrapped__, (8,)) not in mesh._cache
+    assert {n for d, n in built if d == 8} == {len(mesh.curved)}
+    assert len(mesh.curved) < len(mesh.triangles)
 
 
 # -- Dirichlet torsion ---------------------------------------------------------
@@ -295,13 +321,14 @@ def test_disk_neumann_flat_trace(disk_neumann):
 
 
 def test_neumann_discrete_compatibility(disk_neumann, pdisk_neumann):
+    # the load R_h g - 2 m of the singular Neumann system sums to zero
     for f in (disk_neumann, pdisk_neumann):
         g = boundary_load_vector(f.mesh)
-        assert abs(f.R_disc * g.sum() - 2.0 * f.area_h) <= 1e-10
+        assert abs(neumann_flux(f.mesh) * g.sum() - 2.0 * lumped_mass(f.mesh).sum()) <= 1e-10
 
 
 def test_neumann_zero_mean_gauge(pdisk_neumann):
-    mean = volume_integral(pdisk_neumann.mesh, pdisk_neumann)
+    mean = lumped_mass(pdisk_neumann.mesh) @ pdisk_neumann.coeffs
     assert abs(mean) < 1e-10
 
 
@@ -312,7 +339,7 @@ def test_neumann_matches_bordered_system(pdisk):
     f = solve_torsion_neumann(mesh)
     K = assemble_stiffness(mesh)
     m = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
-    b = f.R_disc * boundary_load_vector(mesh) - 2.0 * m
+    b = neumann_flux(mesh) * boundary_load_vector(mesh) - 2.0 * m
     A = sp.bmat([[K, m[:, None]], [m[None, :], None]], format="csc")
     ref = spla.spsolve(A, np.concatenate([b, [0.0]]))[:-1]
     assert np.abs(f.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -495,11 +522,16 @@ def test_eval_gradient_reads_only_the_patch_elements(pdisk):
 
 
 def test_volume_of_disk(disk_mesh):
-    assert abs(volume_integral(disk_mesh, lambda p: np.ones(len(p))) - np.pi) < 1e-7
+    ones = np.ones_like(disk_mesh.element_ops()["detJ"])
+    assert abs(quad_integral(disk_mesh, ones) - np.pi) < 1e-7
+    assert abs(lumped_mass(disk_mesh).sum() - np.pi) < 1e-7
 
 
 def test_odd_integrand_vanishes(disk_mesh):
-    assert abs(volume_integral(disk_mesh, lambda p: p[:, 0])) < 1e-12
+    # x is the P2 field of the isoparametric map, so M integrates it exactly
+    x = disk_mesh.element_ops()["qp"][..., 0]
+    assert abs(quad_integral(disk_mesh, x)) < 1e-12
+    assert abs(lumped_mass(disk_mesh) @ disk_mesh.nodes[:, 0]) < 1e-12
 
 
 # -- convergence -------------------------------------------------------------------
@@ -572,40 +604,20 @@ def test_ball_rigidity_volume_integral(disk_dirichlet):
 
 # -- mesh properties over random domains ------------------------------------------
 
-_spec = st.one_of(
-    st.fixed_dictionaries({
-        "rho0": st.floats(1.0, 1.5),
-        "modes": st.lists(
-            st.tuples(
-                st.integers(1, 6), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)
-            ),
-            max_size=3,
-        ),
-        "center": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-    }),
-    st.fixed_dictionaries({
-        "ellipse": st.tuples(st.floats(1.0, 2.0), st.floats(1.0, 2.0)),
-        "center": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-    }),
-)
-
-
 @settings(max_examples=20)
-@given(spec=_spec, h=st.floats(0.2, 0.3))
+@given(spec=domain_specs, h=st.floats(0.2, 0.3))
 def test_mesh_properties(spec, h):
-    try:
-        dom = domain_from_spec(spec)
-    except (NotStarShaped, NonPositiveRadius):
-        assume(False)
+    dom = domain_or_reject(spec)
     mesh = generate_mesh(dom, h)
-    for degree in (4, 8):
-        assert (mesh.element_ops(degree)["detJ"] > 0).all()
+    ops = degree8_ops(mesh)
+    assert (mesh.element_ops()["detJ"] > 0).all() and (ops["detJ"] > 0).all()
     # Euler characteristic of a disk: vertices - edges (one midnode each) + faces
     n_edges = mesh.n_nodes - mesh.n_vertices
     assert mesh.n_vertices - n_edges + len(mesh.triangles) == 1
-    ops = mesh.element_ops(8)
-    area = quad_integral(mesh, np.ones_like(ops["detJ"]), 8)
+    area = 0.5 * (ops["detJ"] @ ops["w"]).sum()
     assert abs(assemble_mass(mesh).sum() - area) <= 1e-12 * area
+    ones = np.ones_like(mesh.element_ops()["detJ"])
+    assert abs(quad_integral(mesh, ones) - area) <= 1e-12 * area
     _assert_matches_all_degree8(mesh)
     pts = mesh.nodes[mesh.boundary_idx]
     r = np.linalg.norm(pts - dom.center, axis=1)
