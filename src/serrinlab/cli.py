@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidSpec, SerrinLabError
 from .geometry import domain_from_spec
+from .identities import ANCHORS
 from .meshfem import (
     generate_mesh,
     neumann_flux,
@@ -43,14 +44,6 @@ from .stability import (
     stability_sweep,
     strong_deviation_pipeline,
 )
-
-ANCHORS = {
-    "classical_1_2": "Eq. (1.2)",
-    "general_1_9": "Eq. (1.9)",
-    "mother_3_2": "Eq. (3.2)",
-    "mother_3_3": "Eq. (3.3)",
-    "neumann_1_11": "Eq. (1.11)",
-}
 
 PASS, CONTRACT_FAIL, ERROR = 0, 2, 1
 
@@ -219,9 +212,8 @@ def cmd_verify_identity(args, run):
     reports = identity_reports(mesh, args.identity, z)
     status = PASS
     for rep in reports:
-        data = rep.to_dict()
-        data["anchor"] = ANCHORS[rep.identity_id]
-        run.write_json(f"identity_{rep.identity_id}.json", data)
+        data = {**vars(rep), "anchor": ANCHORS[rep.identity]}
+        run.write_json(f"identity_{rep.identity}.json", data)
         rigid = max(abs(rep.lhs), abs(rep.rhs)) <= NOISE_FLOOR
         if rep.rel_residual > args.tol and not rigid:
             status = CONTRACT_FAIL

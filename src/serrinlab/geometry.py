@@ -8,8 +8,7 @@ r(theta) plus adaptive quadrature.
 
 Distances to the boundary start at the nearest boundary sample (k-d tree)
 or at a dense sample's local extrema, and one vectorized Newton routine on
-|gamma(theta) - z|^2 polishes them; the diameter comes from the sample's
-convex hull.
+|gamma(theta) - z|^2 polishes them.
 """
 
 from dataclasses import dataclass
@@ -34,6 +33,9 @@ _STAR_MARGIN = 0.1
 # scale with the block, not with the point count (281k for check-bounds on
 # the 2:1 ellipse at h=0.05)
 _DISTANCE_BLOCK = 8192
+# largest magnitude of a spec number: the boundary geometry squares radii,
+# semi-axes and mode numbers
+_SPEC_MAX = np.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,7 @@ class DomainMeasures:
     area: float
     perimeter: float
     R: float
-    d_Omega: float
     r_i: float
-    r_e: float
 
 
 class RadialDomain:
@@ -188,13 +188,31 @@ class EllipseDomain(RadialDomain):
         return f"EllipseDomain(a={self.a}, b={self.b})"
 
 
+def _real_leaves(values):
+    """True when every leaf of nested lists, tuples or arrays is an int or a
+    float (a bool or a numeric string is not a number of a spec)."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    if isinstance(values, (list, tuple)):
+        return all(_real_leaves(v) for v in values)
+    if isinstance(values, bool):
+        return False
+    return isinstance(values, (int, float, np.integer, np.floating))
+
+
 def _require_finite(name, values):
+    """Raise InvalidSpec unless values are numbers whose squares are finite
+    (NaN and infinities compare False)."""
     try:
-        finite = np.isfinite(np.asarray(values, dtype=float)).all()
-    except (TypeError, ValueError):   # not numbers, or ragged mode rows
+        finite = _real_leaves(values) and (
+            np.abs(np.asarray(values, dtype=float)) <= _SPEC_MAX
+        ).all()
+    except ValueError:   # ragged mode rows
         finite = False
     if not finite:
-        raise InvalidSpec(f"{name} must be finite numbers, got {values!r}")
+        raise InvalidSpec(
+            f"{name} must be finite numbers with finite squares, got {values!r}"
+        )
 
 
 def _require_center(center):
@@ -209,7 +227,8 @@ def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
     Raises
     ------
     InvalidSpec
-        if rho0, a mode entry or the center is not finite, a mode row or
+        if rho0, a mode entry or the center is not a number with a finite
+        square (a bool or a string is not a number), a mode row or
         the center has the wrong length, or a mode number is not an integer.
     NonPositiveRadius
         if min_theta r(theta) <= 0 on a dense sample.
@@ -268,8 +287,6 @@ def domain_from_spec(spec) -> RadialDomain:
 
 
 def _compute_measures(domain) -> DomainMeasures:
-    from scipy.spatial import ConvexHull, cKDTree, distance
-
     area = periodic_integral(lambda t: 0.5 * domain.radius(t) ** 2)
     perimeter = periodic_integral(
         lambda t: np.sqrt(domain.radius(t) ** 2 + domain.radius_d1(t) ** 2)
@@ -278,50 +295,40 @@ def _compute_measures(domain) -> DomainMeasures:
 
     theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
     pts = domain.boundary_point(theta)
-    # the farthest pair of samples are both vertices of their convex hull
-    d_Omega = float(distance.pdist(pts[ConvexHull(pts).vertices]).max())
-
     _, nu, kappa, _ = domain.frame_arrays(theta)
-    tree = cKDTree(pts)
-    r_i = _sphere_radius(tree, pts, nu, kappa, d_Omega, interior=True)
-    r_e = _sphere_radius(tree, pts, nu, kappa, d_Omega, interior=False)
-    return DomainMeasures(
-        area=area, perimeter=perimeter, R=R, d_Omega=d_Omega, r_i=r_i, r_e=r_e
-    )
+    r_i = _sphere_radius(pts, nu, kappa)
+    return DomainMeasures(area=area, perimeter=perimeter, R=R, r_i=r_i)
 
 
-def _sphere_radius(tree, pts, nu, kappa, d_Omega, interior):
-    """Uniform interior/exterior sphere radius estimate.
+def _sphere_radius(pts, nu, kappa):
+    """Uniform interior sphere radius estimate.
 
-    Curvature-extreme bound cross-checked by sampled tangent-disk
+    Curvature bound 1 / max kappa cross-checked by sampled tangent-disk
     containment tests (256 tangency points, bisection on the radius); a
-    disk fits when no boundary sample in ``tree`` lies inside it.
-    These radii are diagnostics; the identity terms never consume them.
+    disk fits when no boundary sample in ``pts`` lies inside it.
+    The radius is a diagnostic; the identity terms never consume it.
     """
-    k = kappa.max() if interior else -kappa.min()
-    bound = 1.0 / k if k > 0 else np.inf
-    cap = min(bound, 10.0 * d_Omega)
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(pts)
+    cap = 1.0 / kappa.max()
     p, n = pts[:: len(pts) // 256], nu[:: len(pts) // 256]
-    sign = -1.0 if interior else 1.0
 
     def fits(rho):
-        d, _ = tree.query(p + sign * rho * n)
+        d, _ = tree.query(p - rho * n)
         return bool((d >= rho * (1.0 - 1e-9) - 1e-12).all())
 
     if fits(cap):
-        sampled = cap
-    else:
-        lo, hi = 0.0, cap
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-        sampled = lo
-    out = min(bound, sampled)
-    return np.inf if (not interior and out >= 10.0 * d_Omega * (1 - 1e-9)) else out
+        return cap
+    lo, hi = 0.0, cap
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
 def measures(domain) -> DomainMeasures:
-    """Area, perimeter, R = 2|Omega|/|Gamma|, diameter, sphere radii."""
+    """Area, perimeter, R = 2|Omega|/|Gamma| and the interior sphere radius."""
     return domain.measures
 
 

@@ -2,12 +2,15 @@
 
 Every evaluator assembles the named integrals of one identity from mesh and
 boundary primitives and reports the two sides with absolute and relative
-residuals.  Boundary ingredients share one construction: the normal
-derivative comes from the recovered volume gradient, the tangential
-derivative from the spectral arclength derivative of the trace, and all
-squared gradients and dot products are built from that decomposition, so
-the algebraic rearrangements between identity forms hold to roundoff
-independently of FEM error.
+residuals.  Boundary ingredients share one construction: for every field
+the normal derivative comes from the recovered volume gradient, the
+tangential derivative from the spectral arclength derivative of the trace,
+and all squared gradients and dot products are built from that
+decomposition, so the algebraic rearrangements between identity forms hold
+to roundoff independently of FEM error.  Every identity reads the one flux
+datum R_h = `neumann_flux(mesh)`, every (ubar - u)-weighted volume term
+comes from `weighted_volume`, and `ANCHORS` is the one registry of identity
+ids with their equations in the paper.
 
 Strong-form audits (defined in `boundary`) gate every evaluation: the
 identities hold only for fields that actually solve the constant-source
@@ -38,31 +41,28 @@ from .meshfem import SOURCE, FemField, neumann_flux, quad_integral, recovered_he
 RESIDUAL_FLOOR = 1e-14
 RIGIDITY_TOL = 1e-6   # rigidity_test counts an identity side at most this as <= 0
 
+# every identity id, with the equation of the paper it checks
+ANCHORS = {
+    "classical_1_2": "Eq. (1.2)",
+    "general_1_9": "Eq. (1.9)",
+    "mother_3_2": "Eq. (3.2)",
+    "mother_3_3": "Eq. (3.3)",
+    "neumann_1_11": "Eq. (1.11)",
+}
+
 
 @dataclass
 class IdentityReport:
-    identity_id: str
+    """One identity evaluation; its fields are the keys of its JSON report."""
+    identity: str
     terms: dict
     lhs: float
     rhs: float
     abs_residual: float
     rel_residual: float
-    mesh_h: float
-    domain_fingerprint: str
+    h: float
+    domain: str
     extras: dict = dc_field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "identity": self.identity_id,
-            "terms": self.terms,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-            "h": self.mesh_h,
-            "domain": self.domain_fingerprint,
-            "extras": self.extras,
-        }
 
 
 def domain_fingerprint(mesh):
@@ -75,14 +75,14 @@ def _report(identity_id, terms, lhs, rhs, mesh, extras=None):
     abs_res = lhs - rhs
     rel = abs(abs_res) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
     return IdentityReport(
-        identity_id=identity_id,
+        identity=identity_id,
         terms=terms,
         lhs=lhs,
         rhs=rhs,
         abs_residual=abs_res,
         rel_residual=rel,
-        mesh_h=mesh.h_max,
-        domain_fingerprint=domain_fingerprint(mesh),
+        h=mesh.h_max,
+        domain=domain_fingerprint(mesh),
         extras=extras or {},
     )
 
@@ -96,14 +96,9 @@ class _BoundaryData:
         mesh = self.mesh = field.mesh
         frames = _frames(mesh)
         tr = field.trace_values()
-        self.ubar = float(tr.max())
-        self.f = self.ubar - tr                              # (ubar - u) on the curve
+        self.f = float(tr.max()) - tr                        # (ubar - u) on the curve
         self.u_nu = normal_derivative(field)
-        if field.analytic_gradient is not None:
-            g = field.analytic_gradient(mesh.nodes[mesh.boundary_idx])
-            _, self.u_tau = normal_tangential(mesh, g)
-        else:
-            self.u_tau = spectral_tangential_derivative(mesh, tr)
+        self.u_tau = spectral_tangential_derivative(mesh, tr)
         self.grad_sq = self.u_nu**2 + self.u_tau**2
         self.kappa = frames.kappa
         # <H grad u, nu> with the decomposition-consistent gradient vector
@@ -125,9 +120,9 @@ def paraboloid_boundary(mesh, z):
 def paraboloid_field(mesh, z) -> FemField:
     """The paraboloid q(x) = |x - z|^2 / 2 as a field.
 
-    Nodal coefficients are the interpolant; derivative queries use the
-    closed forms (gradient x - z, unit Hessian), so identity evaluations
-    with v = q specialize exactly to the dedicated paraboloid forms.
+    Nodal coefficients are the interpolant; its recovered derivatives are
+    the closed forms (gradient x - z, unit Hessian), so identity evaluations
+    with v = q specialize to the dedicated paraboloid forms to roundoff.
     """
     z = np.asarray(z, dtype=float)
     rel = mesh.nodes - z
@@ -151,8 +146,11 @@ def hess_h_sq_quad(field):
     return (1.0 - hxx) ** 2 + (1.0 - hyy) ** 2 + 2.0 * hxy**2
 
 
-def _ubar_minus_u_quad(field, ubar):
-    return ubar - field.values_at_quad()
+def weighted_volume(field, values):
+    """int (ubar - u) X over the domain, for X given as values (T, Q) at the
+    volume quadrature points."""
+    ubar = float(field.trace_values().max())
+    return quad_integral(field.mesh, (ubar - field.values_at_quad()) * values)
 
 
 def p_function(u_field):
@@ -192,8 +190,7 @@ def eval_general_identity(u_field, v_field) -> IdentityReport:
     bu = _BoundaryData(u_field)
     bv = _BoundaryData(v_field)
 
-    f_quad = _ubar_minus_u_quad(u_field, bu.ubar)
-    volume_p = quad_integral(mesh, f_quad * _delta_p_quad(u_field))
+    volume_p = weighted_volume(u_field, _delta_p_quad(u_field))
 
     gu = u_field.gradient_at_quad()
     hxx, hyy, hxy = recovered_hessian_at_quad(v_field)
@@ -236,8 +233,7 @@ def eval_mother_identity(u_field, z):
     bu = _BoundaryData(u_field)
     q_nu, q_tau = paraboloid_boundary(mesh, z)
 
-    f_quad = _ubar_minus_u_quad(u_field, bu.ubar)
-    volume_p = quad_integral(mesh, f_quad * _delta_p_quad(u_field))
+    volume_p = weighted_volume(u_field, _delta_p_quad(u_field))
 
     s_hess = bu.integrate(bu.f * bu.hess_flux)
     s_datum = bu.integrate(bu.f * (bu.u_nu - SOURCE * q_nu))
@@ -287,8 +283,7 @@ def eval_neumann_identity(u_field, z) -> IdentityReport:
     R = neumann_flux(mesh)
     h_nu = q_nu - bu.u_nu
 
-    f_quad = _ubar_minus_u_quad(u_field, bu.ubar)
-    volume = quad_integral(mesh, f_quad * hess_h_sq_quad(u_field))
+    volume = weighted_volume(u_field, hess_h_sq_quad(u_field))
 
     t1 = 0.5 * bu.integrate(bu.u_tau**2 * h_nu)
     t2 = bu.integrate(bu.f * (R * bu.kappa - SOURCE) * h_nu)
@@ -321,10 +316,9 @@ def eval_classical_identity(u_field, z) -> IdentityReport:
     mesh = u_field.mesh
     bu = _BoundaryData(u_field)
     q_nu, _ = paraboloid_boundary(mesh, z)
-    R = mesh.domain.measures.R
+    R = neumann_flux(mesh)
 
-    f_quad = _ubar_minus_u_quad(u_field, bu.ubar)
-    volume_p = quad_integral(mesh, f_quad * _delta_p_quad(u_field))
+    volume_p = weighted_volume(u_field, _delta_p_quad(u_field))
     rhs = 0.5 * bu.integrate((bu.u_nu**2 - R**2) * (bu.u_nu - q_nu))
     flux_balance = bu.integrate(bu.u_nu - q_nu)
 

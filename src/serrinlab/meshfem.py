@@ -770,11 +770,8 @@ def solve_torsion_neumann(mesh) -> FemField:
 
 
 def solve_harmonic_dirichlet(mesh, g) -> FemField:
-    """Harmonic field with prescribed boundary trace g.
-
-    g is an array in boundary-node order or a callable of theta.
-    """
-    vals = np.asarray(g(mesh.boundary_theta) if callable(g) else g, dtype=float)
+    """Harmonic field with prescribed boundary trace g, an array in theta order."""
+    vals = np.asarray(g, dtype=float)
     if vals.shape != mesh.boundary_idx.shape:
         raise ValueError("boundary data does not cover all boundary nodes")
     u = np.zeros(mesh.n_nodes)

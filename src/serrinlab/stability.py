@@ -29,12 +29,14 @@ from .boundary import (
 from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidSpec, NotTorsion
 from .geometry import build_domain, distances_to_boundary, radii_about
 from .identities import (
+    ANCHORS,
     eval_classical_identity,
     eval_general_identity,
     eval_mother_identity,
     eval_neumann_identity,
     hess_h_sq_quad,
     paraboloid_field,
+    weighted_volume,
 )
 from .meshfem import (
     FemField,
@@ -231,14 +233,12 @@ def oscillation_bound_check(u_field, alpha=DEFAULT_ALPHA) -> OscillationBoundRep
             f"|grad h(z)| = {np.linalg.norm(gu):.3g} exceeds {GRAD_TOL}"
         )
 
-    tr = trace(u_field)
-    h_trace = paraboloid_field(mesh, z).trace_values() - tr
+    h_trace = paraboloid_field(mesh, z).trace_values() - trace(u_field)
     osc_h = float(np.ptp(h_trace))
 
     hess_sq = hess_h_sq_quad(u_field)
     W = float(np.sqrt(quad_integral(mesh, _quad_distances(mesh) * hess_sq)))
-    ubar = float(tr.max())
-    V = float(quad_integral(mesh, (ubar - u_field.values_at_quad()) * hess_sq))
+    V = weighted_volume(u_field, hess_sq)
 
     dev = deviations(u_field, alpha)
     rigid = W <= 1e-8 or dev.tangential_norm <= 1e-10
@@ -400,14 +400,14 @@ def identity_reports(mesh, identity_id, z=None):
     solution; classical_1_2 and the mother forms use the Dirichlet solution
     and default z to the domain centre.  Either mother form yields both.
     """
+    if identity_id not in ANCHORS:
+        raise InvalidSpec(f"unknown identity {identity_id!r}")
     if identity_id == "general_1_9":
         u = solve_torsion_dirichlet(mesh)
         return [eval_general_identity(u, solve_torsion_neumann(mesh))]
     if identity_id == "neumann_1_11":
         u = solve_torsion_neumann(mesh)
         return [eval_neumann_identity(u, argmin_point(u).z if z is None else z)]
-    if identity_id not in ("classical_1_2", "mother_3_2", "mother_3_3"):
-        raise InvalidSpec(f"unknown identity {identity_id!r}")
     u = solve_torsion_dirichlet(mesh)
     if z is None:
         z = mesh.domain.center
@@ -430,7 +430,7 @@ def convergence_study(domain, identity_id, h_list):
     rows = []
     for h in h_list:
         reports = identity_reports(generate_mesh(domain, h), identity_id)
-        rep = next(r for r in reports if r.identity_id == identity_id)
+        rep = next(r for r in reports if r.identity == identity_id)
         rows.append(
             {
                 "h": h,

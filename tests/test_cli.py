@@ -1,19 +1,25 @@
 import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import serrinlab
 from serrinlab import cli, stability
 from serrinlab.cli import main
-from serrinlab.geometry import EllipseDomain, build_domain
+from serrinlab.geometry import EllipseDomain, build_domain, domain_from_spec
 from serrinlab.meshfem import generate_mesh, solve_torsion_neumann
 from serrinlab.stability import convergence_study
 
@@ -298,6 +304,11 @@ def test_missing_domain_file_is_operational_error(tmp_path, capsys, content):
         (None, ["strong-deviation", "--amplitudes", "0.025,0.05,0.1", "--alpha", "0"]),
         (None, ["strong-deviation", "--amplitudes", "0.025,0.05,0.1", "--alpha", "1.5"]),
         (None, ["strong-deviation", "--amplitudes", "0.025,0.05,0.1", "--alpha", "-1"]),
+        ({"rho0": "1"}, ["solve", "--h-target", "0.2"]),
+        ({"ellipse": ["2", 1]}, ["solve", "--h-target", "0.2"]),
+        ({"ellipse": [1e200, 1e200]}, ["solve", "--h-target", "0.2"]),
+        ({"rho0": True}, ["solve", "--h-target", "0.2"]),
+        ({"rho0": 1, "center": ["0.1", 0]}, ["solve", "--h-target", "0.2"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, monkeypatch, spec, argv):
@@ -316,8 +327,78 @@ def test_bad_input_is_operational_error(tmp_path, capsys, monkeypatch, spec, arg
     code = main(["--out", str(tmp_path / "r")] + argv)
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+    manifest = tmp_path / "r" / "manifest.json"
+    if manifest.parent.exists():   # the run had started, so it records the failure
+        assert json.loads(manifest.read_text())["status"] == 1
     if "--alpha" in argv:
         assert meshes == []   # a bad exponent is rejected before any mesh is built
+
+
+# valid specs: every star spec has a mode row, and all pass build_domain
+_valid_specs = st.one_of(
+    st.fixed_dictionaries({
+        "rho0": st.floats(0.5, 1.5),
+        "modes": st.lists(
+            st.tuples(st.integers(1, 3), st.floats(-0.02, 0.02), st.floats(-0.02, 0.02))
+            .map(list),
+            min_size=1, max_size=2,
+        ),
+        "center": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(list),
+    }),
+    st.fixed_dictionaries({
+        "ellipse": st.tuples(st.floats(1.0, 2.0), st.floats(1.0, 2.0)).map(list),
+        "center": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(list),
+    }),
+)
+
+# JSON values of the wrong kind for a number or a point
+_wrong_kind = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["1", "0.5", "-2", "1e3", "NaN"]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.lists(st.floats(0.5, 1.5), min_size=1, max_size=2),
+             min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=2), st.floats(0.5, 1.5), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e200, -1e200]),
+)
+
+
+@st.composite
+def _invalid_specs(draw):
+    """A valid spec with one field (rho0, a mode entry, the center or an
+    ellipse axis) replaced by a value of the wrong kind."""
+    spec = draw(_valid_specs)
+    domain_from_spec(spec)
+    if "rho0" in spec:
+        where = draw(st.sampled_from(["rho0", "mode", "center"]))
+    else:
+        where = draw(st.sampled_from(["ellipse", "center"]))
+    bad = draw(_wrong_kind)
+    if where == "mode":
+        row = draw(st.sampled_from(spec["modes"]))
+        row[draw(st.integers(0, 2))] = bad
+    elif where == "ellipse":
+        spec["ellipse"][draw(st.integers(0, 1))] = bad
+    else:
+        spec[where] = bad
+    return spec
+
+
+@settings(max_examples=100)
+@given(spec=_invalid_specs())
+def test_wrong_kind_spec_values_are_operational_errors(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec))
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err):
+            code = main(["--out", str(Path(tmp) / "r"), "solve", "--domain", str(path),
+                         "--h-target", "0.2"])
+        assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.getvalue().startswith("error:")
 
 
 def test_failed_run_writes_manifest(tmp_path, capsys):
