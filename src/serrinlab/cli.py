@@ -9,6 +9,8 @@ exists, a failed run's manifest records the error text.
 """
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import json
 import sys
@@ -470,6 +472,12 @@ def build_parser():
 
 
 def main(argv=None):
+    # freeing a mapped block raises glibc's mmap threshold, and whether the
+    # large arrays then put on the heap stay resident after use depends on
+    # its randomized layout (one sweep peaked at 140, 151 or 158 MB); pinned
+    # at 4 MiB (M_MMAP_THRESHOLD = -3), that peak held at 131-139 MB
+    with contextlib.suppress(AttributeError, OSError, TypeError):   # not glibc
+        ctypes.CDLL(None).mallopt(-3, 4 << 20)
     run = None
     try:
         args = build_parser().parse_args(argv)

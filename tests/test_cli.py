@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -477,3 +478,30 @@ def test_dof_cap_env_var_not_integer(tmp_path, disk_spec, monkeypatch, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="glibc's mallopt and /proc/self/maps",
+)
+def test_large_arrays_stay_mapped_after_a_large_free():
+    """Freeing an 8 MiB block raises glibc's dynamic mmap threshold, which
+    would put the next 5 MiB array on the heap; once `main` has pinned the
+    threshold at 4 MiB it is mapped on its own.  A fresh interpreter, so
+    that no free heap block of an earlier test can hold the array."""
+    src = str(Path(serrinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import numpy as np, serrinlab.cli; "
+        "serrinlab.cli.main(['sweep', '--no-such-flag']); "
+        "np.ones(1 << 20); block = np.ones(5 << 17); "
+        "heap = [[int(x, 16) for x in line.split()[0].split('-')] "
+        "for line in open('/proc/self/maps') if line.rstrip().endswith('[heap]')]; "
+        "print(any(lo <= block.ctypes.data < hi for lo, hi in heap))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
