@@ -13,6 +13,10 @@ Two tangential derivatives are in use.  The deviation measures and the
 Lemma 2.1 residual take the recovered volume gradient dotted with tau
 (`tangential_gradient`); the integral identities take the spectral
 arclength derivative of the trace (`spectral_tangential_derivative`).
+Neither rule serves both: the identities need u_tau of a constant trace to
+be exactly 0 (the recovered rule leaves 5.9e-7 in the classical reduction
+chain, against 1e-10), and on the disk at h = 0.05 the spectral rule leaves
+sup |u_tau| = 1.8e-6 where the deviations are held to 1e-6.
 
 Each audit is defined here once: a field must solve the constant-source
 problem (`audit_torsion`) with the claimed boundary data (`audit_dirichlet`,

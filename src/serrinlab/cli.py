@@ -35,6 +35,9 @@ from .polycheck import identity_case_table
 from .spectral import check_l2_oscillation_bound, eigenvalues
 from .stability import (
     NOISE_FLOOR,
+    SWEEP_R2_MIN,
+    SWEEP_SLOPE_MAX,
+    SWEEP_SLOPE_MIN,
     argmin_point,
     check_family,
     convergence_study,
@@ -299,20 +302,13 @@ def cmd_sweep(args, run):
     fit_data["dropped_rigid"] = result.dropped
     run.write_json("exponent_fits.json", fit_data)
 
-    status = PASS
     fit = result.fits.get("uniform")
-    if fit is None or not (args.slope_min <= fit.slope <= args.slope_max):
-        status = CONTRACT_FAIL
-    elif fit.r_squared < args.r2_min:
-        status = CONTRACT_FAIL
-    else:
-        for rec in result.records:
-            if "rigid" in rec.flags:
-                continue
-            bound = result.c_fit * rec.deviations.uniform()
-            if rec.rho_gap > bound * (1 + 1e-12):
-                status = CONTRACT_FAIL
-    return run.finish(status)
+    ok = (
+        fit is not None
+        and SWEEP_SLOPE_MIN <= fit.slope <= SWEEP_SLOPE_MAX
+        and fit.r_squared >= SWEEP_R2_MIN
+    )
+    return run.finish(PASS if ok else CONTRACT_FAIL)
 
 
 def cmd_check_bounds(args, run):
@@ -447,9 +443,6 @@ def build_parser():
     common(sp, domain=False, alpha=True)
     sp.add_argument("--mode", type=int, default=2)
     sp.add_argument("--amplitudes", default="0.0125,0.025,0.05,0.1")
-    sp.add_argument("--slope-min", dest="slope_min", type=_finite_float, default=0.85)
-    sp.add_argument("--slope-max", dest="slope_max", type=_finite_float, default=1.3)
-    sp.add_argument("--r2-min", dest="r2_min", type=_finite_float, default=0.98)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("check-bounds", help="pointwise and spectral bounds")

@@ -36,6 +36,9 @@ _DISTANCE_BLOCK = 8192
 # largest magnitude of a spec number: the boundary geometry squares radii,
 # semi-axes and mode numbers
 _SPEC_MAX = np.sqrt(np.finfo(float).max)
+# largest |center| / domain size: every boundary point's offset from the
+# centre then keeps at least half of a double's digits
+_CENTER_REACH = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -152,9 +155,9 @@ class EllipseDomain(RadialDomain):
 
     def __init__(self, a, b, center=(0.0, 0.0)):
         _require_finite("ellipse semi-axes", (a, b))
-        _require_center(center)
         if a <= 0 or b <= 0:
             raise NonPositiveRadius("ellipse semi-axes must be positive")
+        _require_center(center, min(a, b), "smaller semi-axis")
         self.a = float(a)
         self.b = float(b)
         self.rho0 = float(min(a, b))
@@ -215,10 +218,20 @@ def _require_finite(name, values):
         )
 
 
-def _require_center(center):
+def _require_center(center, size, size_name):
+    """Raise InvalidSpec unless center is a finite point from which boundary
+    points at distance `size` (a positive length) are resolved in floating
+    point."""
     _require_finite("center", center)
     if np.shape(center) != (2,):
         raise InvalidSpec(f"center must be a point (x, y), got {center!r}")
+    reach = float(np.hypot(*center))
+    if reach > _CENTER_REACH * size:
+        raise InvalidSpec(
+            f"|center| = {reach:.3g} is {reach / size:.3g} times the {size_name} "
+            f"{size:.3g}, over {_CENTER_REACH:.3g}: boundary points cannot be "
+            "resolved from the centre in floating point"
+        )
 
 
 def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
@@ -229,7 +242,9 @@ def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
     InvalidSpec
         if rho0, a mode entry or the center is not a number with a finite
         square (a bool or a string is not a number), a mode row or
-        the center has the wrong length, or a mode number is not an integer.
+        the center has the wrong length, a mode number is not an integer,
+        or |center| is so large against rho0 that boundary points cannot be
+        resolved from the centre.
     NonPositiveRadius
         if min_theta r(theta) <= 0 on a dense sample.
     NotStarShaped
@@ -245,9 +260,9 @@ def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
         raise InvalidSpec(
             f"fourier modes must be rows [k, a, b] with integer k, got {fourier_modes!r}"
         )
-    _require_center(center)
     if rho0 <= 0:
         raise NonPositiveRadius(f"rho0 must be positive, got {rho0}")
+    _require_center(center, rho0, "rho0")
     domain = StarDomain(rho0, fourier_modes, center)
     theta = np.linspace(0.0, 2.0 * np.pi, _DENSE_SAMPLE, endpoint=False)
     r = domain.radius(theta)

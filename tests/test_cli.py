@@ -310,6 +310,7 @@ def test_missing_domain_file_is_operational_error(tmp_path, capsys, content):
         ({"ellipse": [1e200, 1e200]}, ["solve", "--h-target", "0.2"]),
         ({"rho0": True}, ["solve", "--h-target", "0.2"]),
         ({"rho0": 1, "center": ["0.1", 0]}, ["solve", "--h-target", "0.2"]),
+        ({"ellipse": [2, 1], "center": [1e17, 0]}, ["solve", "--h-target", "0.2"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, monkeypatch, spec, argv):

@@ -100,6 +100,37 @@ def test_wrong_shape_spec_rejected(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, size",
+    [
+        (lambda: build_domain(1.0, [], center=(1e150, 0.0)), "rho0 1"),
+        (lambda: domain_from_spec({"ellipse": [2, 1], "center": [1e17, 0]}),
+         "smaller semi-axis 1"),
+    ],
+)
+def test_far_center_rejected(make, size):
+    # boundary points round onto the centre: the disk used to fail the
+    # star-shapedness margin and the ellipse to mesh into inverted elements
+    with pytest.raises(InvalidSpec, match=f"times the {size}.*cannot be resolved"):
+        make()
+
+
+def test_off_center_domain_builds():
+    center = np.array([0.3, -0.2])
+    theta = np.linspace(0.0, 2 * np.pi, 7)
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    star = build_domain(1.0, [(2, 0.05, 0.0)], center=tuple(center))
+    r = 1.0 + 0.05 * np.cos(2 * theta)
+    want = center + r[:, None] * e
+    assert np.allclose(star.boundary_point(theta), want, rtol=0, atol=1e-15)
+    ell = domain_from_spec({"ellipse": [2, 1], "center": list(center)})
+    r = ell.radius(theta)
+    want = center + r[:, None] * e
+    assert np.allclose(ell.boundary_point(theta), want, rtol=0, atol=1e-15)
+    # far, but every boundary offset still keeps over half its digits
+    assert build_domain(1.0, [], center=(1e7, 0.0)).center[0] == 1e7
+
+
 # -- boundary frames -------------------------------------------------------
 
 

@@ -195,6 +195,25 @@ def test_sweep_member_rigid_flag():
     assert rec.rho_gap <= 1e-10
 
 
+def test_sweep_member_solves_once(monkeypatch):
+    meshes, solves = [], []
+
+    def meshing(domain, h):
+        meshes.append(h)
+        return generate_mesh(domain, h)
+
+    def solving(mesh):
+        solves.append(mesh)
+        return solve_torsion_neumann(mesh)
+
+    monkeypatch.setattr(stability, "generate_mesh", meshing)
+    monkeypatch.setattr(stability, "solve_torsion_neumann", solving)
+    rec = sweep_member(2, 0.05, 0.2)
+    assert meshes == [0.1]
+    assert len(solves) == 1
+    assert rec.mesh_h == solves[0].h_max
+
+
 def first_order(k, eps):
     """Closed forms to first order in eps for r = 1 + eps cos(k theta): the
     Neumann solution is r^2/2 - (eps/k) r^k cos(k theta) + O(eps^2), so its
