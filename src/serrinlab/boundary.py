@@ -9,14 +9,14 @@ use the periodic trapezoid weights w_i = dtheta * |gamma'(theta_i)|,
 spectrally accurate for smooth integrands.  Every boundary vector is split
 into its normal and tangential parts by one function, `normal_tangential`.
 
-Two tangential derivatives are in use.  The deviation measures and the
-Lemma 2.1 residual take the recovered volume gradient dotted with tau
-(`tangential_gradient`); the integral identities take the spectral
-arclength derivative of the trace (`spectral_tangential_derivative`).
-Neither rule serves both: the identities need u_tau of a constant trace to
-be exactly 0 (the recovered rule leaves 5.9e-7 in the classical reduction
-chain, against 1e-10), and on the disk at h = 0.05 the spectral rule leaves
-sup |u_tau| = 1.8e-6 where the deviations are held to 1e-6.
+Two tangential derivatives are in use.  The deviation measures take the
+recovered volume gradient dotted with tau (`tangential_gradient`); the
+integral identities take the spectral arclength derivative of the trace
+(`spectral_tangential_derivative`).  Neither rule serves both: the
+identities need u_tau of a constant trace to be exactly 0 (the recovered
+rule leaves 5.9e-7 in the classical reduction chain, against 1e-10), and on
+the disk at h = 0.05 the spectral rule leaves sup |u_tau| = 1.8e-6 where
+the deviations are held to 1e-6.
 
 Each audit is defined here once: a field must solve the constant-source
 problem (`audit_torsion`) with the claimed boundary data (`audit_dirichlet`,
@@ -57,14 +57,6 @@ def _frames(mesh):
     )
 
 
-def boundary_normals(mesh):
-    return _frames(mesh).nu
-
-
-def boundary_curvatures(mesh):
-    return _frames(mesh).kappa
-
-
 def normal_tangential(mesh, vectors):
     """(v . nu, v . tau) of vectors v (m,2) given at the boundary nodes."""
     frames = _frames(mesh)
@@ -79,11 +71,6 @@ def hessian_flux(H, g, nu):
         axis=1,
     )
     return np.einsum("ij,ij->i", Hg, nu)
-
-
-def trace(field):
-    """Boundary nodal values of a field, in theta order."""
-    return field.trace_values()
 
 
 def normal_derivative(field):
@@ -103,34 +90,9 @@ def spectral_tangential_derivative(mesh, values):
     return fft_derivative(values) / _frames(mesh).metric
 
 
-def laplace_beltrami(mesh, values):
-    """Second arclength derivative d^2/ds^2 (the curve Laplace-Beltrami)."""
-    return spectral_tangential_derivative(
-        mesh, spectral_tangential_derivative(mesh, values)
-    )
-
-
 def surface_integral(mesh, values) -> float:
     """Weighted boundary sum; spectrally accurate for smooth integrands."""
     return float(np.dot(np.asarray(values, dtype=float), _frames(mesh).weights))
-
-
-def check_integration_by_parts(mesh, v, w):
-    """Residual of the closed-curve identity
-    integral <grad_G v, grad_G w> dS = - integral v (Lap_G w) dS
-    for boundary values v, w.
-
-    Both derivatives are taken spectrally, so the residual measures the
-    self-consistency of the boundary calculus; returns (abs_residual,
-    rel_residual).
-    """
-    dv = spectral_tangential_derivative(mesh, v)
-    dw = spectral_tangential_derivative(mesh, w)
-    lhs = surface_integral(mesh, dv * dw)
-    rhs = surface_integral(mesh, v * laplace_beltrami(mesh, w))
-    abs_res = abs(lhs + rhs)
-    rel = abs_res / max(abs(lhs), abs(rhs), 1e-14)
-    return abs_res, rel
 
 
 # -- audits -------------------------------------------------------------------
@@ -160,43 +122,13 @@ def audit_neumann(field):
 
 def audit_dirichlet(field):
     audit_torsion(field)
-    osc = float(np.ptp(trace(field)))
+    osc = float(np.ptp(field.trace_values()))
     if osc > DIRICHLET_AUDIT_TOL:
         raise NotDirichlet(
             f"trace oscillates by {osc:.3g} (> {DIRICHLET_AUDIT_TOL}); "
             "not a constant-trace solution"
         )
     return osc
-
-
-def lemma21_residual(u_field, kind):
-    """Pointwise boundary residual of the flux-Hessian identities.
-
-    For a torsion field with constant trace (kind="dirichlet"):
-        <H u_rec grad u, nu> = u_nu (2 - kappa u_nu).
-    For a torsion field with constant normal derivative (kind="neumann"):
-        <H u_rec grad u, nu> = -kappa |grad_G u|^2
-                               + u_nu (2 - Lap_G u - kappa u_nu).
-    Uses recovered Hessians and the planar reduction of the normal-field
-    Jacobian (<(grad nu) t, t> = kappa |t|^2 for tangential t).  The field
-    must pass the audit of its kind.
-    """
-    if kind not in ("dirichlet", "neumann"):
-        raise ValueError(f"unknown kind {kind!r}")
-    (audit_dirichlet if kind == "dirichlet" else audit_neumann)(u_field)
-    mesh = u_field.mesh
-    idx = mesh.boundary_idx
-    rec = u_field.recovered
-    kappa = boundary_curvatures(mesh)
-    unu = normal_derivative(u_field)
-    lhs = hessian_flux(rec.hessian[idx], rec.gradient[idx], boundary_normals(mesh))
-    if kind == "dirichlet":
-        rhs = unu * (2.0 - kappa * unu)
-    else:
-        gt = tangential_gradient(u_field)
-        lap_u = laplace_beltrami(mesh, trace(u_field))
-        rhs = -kappa * gt**2 + unu * (2.0 - lap_u - kappa * unu)
-    return lhs - rhs
 
 
 def holder_seminorm(mesh, values, alpha):

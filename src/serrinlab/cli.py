@@ -30,7 +30,6 @@ from .meshfem import (
     solve_torsion_dirichlet,
     solve_torsion_neumann,
 )
-from .boundary import trace
 from .polycheck import identity_case_table
 from .spectral import check_l2_oscillation_bound, eigenvalues
 from .stability import (
@@ -190,7 +189,7 @@ def cmd_solve(args, run):
         boundary_theta=mesh.boundary_theta,
         coeffs=field.coeffs,
     )
-    tr = trace(field)
+    tr = field.trace_values()
     report = {
         "problem": args.problem,
         "dof": mesh.n_nodes,
@@ -209,6 +208,8 @@ def cmd_solve(args, run):
 def cmd_verify_identity(args, run):
     z = None
     if args.z != "auto":
+        if args.identity == "general_1_9":
+            raise InvalidSpec("--z: general_1_9 takes no point")
         z = np.array(_numbers(args.z, "--z", float))
         if z.shape != (2,):
             raise InvalidSpec(f"--z needs 'auto' or two numbers x,y, got {args.z!r}")
@@ -292,13 +293,7 @@ def cmd_sweep(args, run):
         for k, f in result.fits.items()
     }
     fit_data["c_fit_uniform"] = result.c_fit
-    # the limit of c_fit as the amplitudes go to 0, from the first-order
-    # solution; mode 1 only translates the disk to first order, where both
-    # rho_gap and the uniform deviation vanish, so it has no such limit
-    mode = args.mode
-    fit_data["c_fit_first_order"] = (
-        2 * mode / ((mode - 1) * (mode + 2)) if mode > 1 else None
-    )
+    fit_data["c_fit_first_order"] = result.c_fit_first_order
     fit_data["dropped_rigid"] = result.dropped
     run.write_json("exponent_fits.json", fit_data)
 
@@ -424,7 +419,7 @@ def build_parser():
     sp.add_argument("--identity", required=True, choices=sorted(ANCHORS))
     sp.add_argument(
         "--z", default="auto",
-        help="'auto' or 'x,y'; general_1_9 takes no point and ignores it",
+        help="'auto' or 'x,y'; general_1_9 takes no point and rejects it",
     )
     sp.add_argument("--tol", type=_finite_float, default=1e-2)
     sp.set_defaults(func=cmd_verify_identity)

@@ -19,10 +19,6 @@ class NotStarShaped(SerrinLabError):
     """Fourier truncation or star-shapedness margin check failed."""
 
 
-class OutsideDomain(SerrinLabError):
-    """Query point lies outside the closure of the domain."""
-
-
 class PointNotInterior(SerrinLabError):
     """Query point is not strictly inside the domain."""
 

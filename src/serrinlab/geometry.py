@@ -20,7 +20,6 @@ from .errors import (
     InvalidSpec,
     NonPositiveRadius,
     NotStarShaped,
-    OutsideDomain,
     PointNotInterior,
 )
 
@@ -342,11 +341,6 @@ def _sphere_radius(pts, nu, kappa):
     return lo
 
 
-def measures(domain) -> DomainMeasures:
-    """Area, perimeter, R = 2|Omega|/|Gamma| and the interior sphere radius."""
-    return domain.measures
-
-
 def _newton_distance(domain, z, theta, maximize):
     """|gamma - z| at the extremum of f(theta) = |gamma(theta) - z|^2 that
     Newton's method reaches from each start angle (z: one point or one per
@@ -396,15 +390,6 @@ def _boundary_extremes(domain, z):
     maximize = np.arange(len(mins) + len(maxs)) >= len(mins)
     d = _newton_distance(domain, z, theta[np.concatenate([mins, maxs])], maximize)
     return float(d[~maximize].min()), float(d[maximize].max())
-
-
-def distance_to_boundary(domain, x) -> float:
-    """delta_Gamma(x) = dist(x, Gamma) for x in the closure of the domain."""
-    rel = np.asarray(x, dtype=float) - domain.center
-    rad = float(np.sqrt(rel @ rel))
-    if rad > float(domain.radius(np.arctan2(rel[1], rel[0]))) * (1.0 + 1e-12) + 1e-14:
-        raise OutsideDomain(f"point {x} lies outside the domain closure")
-    return _boundary_extremes(domain, x)[0]
 
 
 def distances_to_boundary(domain, points):

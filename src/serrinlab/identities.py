@@ -35,11 +35,10 @@ from .boundary import (
     spectral_tangential_derivative,
     surface_integral,
 )
-from .geometry import radii_about
 from .meshfem import SOURCE, FemField, neumann_flux, quad_integral, recovered_hessian_at_quad
 
 RESIDUAL_FLOOR = 1e-14
-RIGIDITY_TOL = 1e-6   # rigidity_test counts an identity side at most this as <= 0
+RIGIDITY_TOL = 1e-6   # an identity side at most this counts as <= 0
 
 # every identity id, with the equation of the paper it checks
 ANCHORS = {
@@ -153,23 +152,6 @@ def weighted_volume(field, values):
     return quad_integral(field.mesh, (ubar - field.values_at_quad()) * values)
 
 
-def p_function(u_field):
-    """P = |grad u|^2 / 2 + (ubar - u) and its distributed Laplacian.
-
-    The Laplacian field is |H_rec|^2 - 2 clamped at zero where it dips
-    negative by less than the recovery-noise tolerance.
-    """
-    audit_torsion(u_field)
-    mesh = u_field.mesh
-    rec = u_field.recovered
-    ubar = float(u_field.trace_values().max())
-    P = 0.5 * (rec.gradient**2).sum(1) + (ubar - u_field.coeffs)
-    dP = rec.hessian[:, 0] ** 2 + rec.hessian[:, 1] ** 2 + 2 * rec.hessian[:, 2] ** 2
-    dP = dP - SOURCE
-    dP[(dP < 0) & (dP >= -1e-6)] = 0.0     # recovery-noise tolerance
-    return FemField(mesh, P, kind="generic"), FemField(mesh, dP, kind="generic")
-
-
 # -- identity evaluators -------------------------------------------------------------
 
 def eval_general_identity(u_field, v_field) -> IdentityReport:
@@ -275,6 +257,10 @@ def eval_neumann_identity(u_field, z) -> IdentityReport:
       int (ubar-u) |H h|^2 = 1/2 int_G |grad_G u|^2 h_nu
                            + int_G (ubar-u) (R kappa - 2) h_nu
                            - int_G (ubar-u) kappa |grad_G u|^2.
+
+    The volume term is non-negative, so a non-positive right-hand side
+    forces h affine and the domain a disk; extras["rigidity_holds"] records
+    that implication with both sides read at the tolerance RIGIDITY_TOL.
     """
     osc_unu = audit_neumann(u_field)
     mesh = u_field.mesh
@@ -295,12 +281,14 @@ def eval_neumann_identity(u_field, z) -> IdentityReport:
         "surface_curvature_flux": t2,
         "surface_curvature_tangential": t3,
     }
+    rhs = t1 + t2 + t3
     extras = {
         "z": list(np.asarray(z, dtype=float)),
         "R": float(R),
         "osc_u_nu": float(osc_unu),
+        "rigidity_holds": bool(rhs > RIGIDITY_TOL or volume <= RIGIDITY_TOL),
     }
-    return _report("neumann_1_11", terms, volume, t1 + t2 + t3, mesh, extras)
+    return _report("neumann_1_11", terms, volume, rhs, mesh, extras)
 
 
 def eval_classical_identity(u_field, z) -> IdentityReport:
@@ -330,38 +318,3 @@ def eval_classical_identity(u_field, z) -> IdentityReport:
         "osc_trace": float(osc_trace),
     }
     return _report("classical_1_2", terms, volume_p, rhs, mesh, extras)
-
-
-@dataclass
-class RigidityVerdict:
-    rhs_value: float
-    volume_value: float
-    rhs_nonpositive: bool
-    v_small: bool
-    sphere_deviation: float
-    tol: float
-    implication_ok: bool
-
-
-def rigidity_test(u_field, z) -> RigidityVerdict:
-    """Spherical-rigidity verdict from the constant-flux identity.
-
-    A non-positive right-hand side forces the volume term to vanish, which
-    forces h = q - u affine and the domain a disk; the verdict records both
-    sides and the measured sphere deviation rho_e - rho_i about z.
-    """
-    rep = eval_neumann_identity(u_field, z)
-    s = rep.rhs
-    V = rep.lhs
-    rho_i, rho_e = radii_about(u_field.mesh.domain, z)
-    rhs_nonpositive = s <= RIGIDITY_TOL
-    v_small = V <= RIGIDITY_TOL
-    return RigidityVerdict(
-        rhs_value=s,
-        volume_value=V,
-        rhs_nonpositive=rhs_nonpositive,
-        v_small=v_small,
-        sphere_deviation=rho_e - rho_i,
-        tol=RIGIDITY_TOL,
-        implication_ok=(not rhs_nonpositive) or v_small,
-    )

@@ -25,7 +25,6 @@ from .boundary import (
     normal_derivative,
     surface_integral,
     tangential_gradient,
-    trace,
 )
 from .errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidSpec, NotTorsion
 from .geometry import build_domain, distances_to_boundary, radii_about
@@ -138,7 +137,7 @@ def deviations(u_field, alpha=DEFAULT_ALPHA) -> DeviationSet:
     """All boundary deviation measures of a constant-flux field."""
     audit_neumann(u_field)
     mesh = u_field.mesh
-    tr = trace(u_field)
+    tr = u_field.trace_values()
     gt = tangential_gradient(u_field)
     ubar = float(tr.max())
     f = ubar - tr
@@ -237,7 +236,7 @@ def oscillation_bound_check(u_field, alpha=DEFAULT_ALPHA) -> OscillationBoundRep
             f"|grad h(z)| = {np.linalg.norm(gu):.3g} exceeds {GRAD_TOL}"
         )
 
-    h_trace = paraboloid_field(mesh, z).trace_values() - trace(u_field)
+    h_trace = paraboloid_field(mesh, z).trace_values() - u_field.trace_values()
     osc_h = float(np.ptp(h_trace))
 
     hess_sq = hess_h_sq_quad(u_field)
@@ -294,6 +293,7 @@ class SweepResult:
     records: list
     fits: dict
     c_fit: float            # max rho_gap / uniform deviation
+    c_fit_first_order: float | None
     dropped: list
 
 
@@ -354,7 +354,8 @@ def stability_sweep(mode, amplitudes, h_target=0.05,
     log-log fits of rho_gap against each deviation kind over the non-rigid
     records; c_fit, the largest rho_gap / (uniform deviation) over them, is
     the single constant of the one-sided linear bound
-    rho_gap <= c_fit * (uniform deviation), so every non-rigid record meets it.
+    rho_gap <= c_fit * (uniform deviation), so every non-rigid record meets it;
+    c_fit_first_order is its limit as the amplitudes go to 0.
     """
     check_family(mode, amplitudes, SWEEP_FIT_MIN)
     records = [sweep_member(mode, float(e), h_target, alpha) for e in amplitudes]
@@ -370,7 +371,12 @@ def stability_sweep(mode, amplitudes, h_target=0.05,
             slope, intercept, r2 = loglog_fit([k[kind] for k in kinds], gaps)
             fits[kind] = ExponentFit(kind, slope, intercept, r2, len(usable))
     c_fit = max((r.rho_gap / r.deviations.uniform() for r in usable), default=0.0)
-    return SweepResult(records=records, fits=fits, c_fit=c_fit, dropped=dropped)
+    # the limit of c_fit as the amplitudes go to 0, from the first-order
+    # solution; mode 1 only translates the disk to first order, where both
+    # rho_gap and the uniform deviation vanish, so it has no such limit
+    first_order = 2 * mode / ((mode - 1) * (mode + 2)) if mode > 1 else None
+    return SweepResult(records=records, fits=fits, c_fit=c_fit,
+                       c_fit_first_order=first_order, dropped=dropped)
 
 
 # -- integral identities over mesh levels ------------------------------------------------

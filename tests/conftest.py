@@ -3,9 +3,11 @@ import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
+from serrinlab.boundary import audit_torsion
 from serrinlab.errors import NonPositiveRadius, NotStarShaped
 from serrinlab.geometry import EllipseDomain, build_domain, domain_from_spec
 from serrinlab.meshfem import (
+    SOURCE,
     FemField,
     _quad_ops,
     generate_mesh,
@@ -126,6 +128,14 @@ def h1_seminorm_error(field, exact_grad):
 def shifted(field, c):
     """The field plus the constant c."""
     return FemField(field.mesh, field.coeffs + c, field.kind)
+
+
+def delta_p(field):
+    """Laplacian of P = |grad u|^2 / 2 + (ubar - u) at the nodes of a
+    constant-source field u: |H_rec|^2 - 2, after the torsion audit."""
+    audit_torsion(field)
+    hxx, hyy, hxy = field.recovered.hessian.T
+    return hxx**2 + hyy**2 + 2.0 * hxy**2 - SOURCE
 
 
 def fit_order(hs, errs):

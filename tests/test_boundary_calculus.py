@@ -4,18 +4,15 @@ import pytest
 from conftest import fit_order
 from serrinlab import boundary
 from serrinlab.boundary import (
-    boundary_curvatures,
-    boundary_normals,
-    check_integration_by_parts,
+    audit_dirichlet,
+    audit_neumann,
+    hessian_flux,
     holder_seminorm,
-    laplace_beltrami,
-    lemma21_residual,
     normal_derivative,
     normal_tangential,
     spectral_tangential_derivative,
     surface_integral,
     tangential_gradient,
-    trace,
 )
 from serrinlab.errors import InvalidSpec, NotDirichlet, NotNeumann, NotTorsion
 from serrinlab.identities import eval_classical_identity, eval_neumann_identity
@@ -26,17 +23,17 @@ from serrinlab.meshfem import FemField, generate_mesh, neumann_flux, solve_torsi
 
 
 def test_trace_dirichlet_zero(disk_dirichlet):
-    assert np.abs(trace(disk_dirichlet)).max() <= 1e-12
+    assert np.abs(disk_dirichlet.trace_values()).max() <= 1e-12
 
 
 def test_trace_coordinate(disk_mesh):
     f = FemField(disk_mesh, disk_mesh.nodes[:, 0])
-    tv = trace(f)
+    tv = f.trace_values()
     assert np.abs(tv - np.cos(disk_mesh.boundary_theta)).max() < 1e-12
 
 
 def test_trace_neumann_constant(disk_neumann):
-    assert np.ptp(trace(disk_neumann)) <= 1e-6
+    assert np.ptp(disk_neumann.trace_values()) <= 1e-6
 
 
 # -- normal derivative ----------------------------------------------------------
@@ -88,7 +85,7 @@ def test_tangential_gradient_coordinate(disk_mesh):
     f = FemField(disk_mesh, disk_mesh.nodes[:, 0])
     gt = tangential_gradient(f)
     assert np.abs(gt - (-np.sin(disk_mesh.boundary_theta))).max() < 1e-8
-    fd = _fd4_arclength_derivative(disk_mesh, trace(f))
+    fd = _fd4_arclength_derivative(disk_mesh, f.trace_values())
     assert np.abs(gt - fd).max() < 1e-5
 
 
@@ -100,6 +97,13 @@ def test_decomposition_exactness(pdisk_neumann):
 
 
 # -- Laplace-Beltrami ----------------------------------------------------------------
+
+
+def laplace_beltrami(mesh, values):
+    """Second arclength derivative d^2/ds^2 (the curve Laplace-Beltrami)."""
+    return spectral_tangential_derivative(
+        mesh, spectral_tangential_derivative(mesh, values)
+    )
 
 
 def test_laplace_beltrami_constant(disk_mesh):
@@ -121,8 +125,8 @@ def test_reilly_identity_for_paraboloid(ellipse_mesh):
     pts = ellipse_mesh.nodes[ellipse_mesh.boundary_idx]
     q = 0.5 * ((pts - z) ** 2).sum(1)
     lhs = laplace_beltrami(ellipse_mesh, q)
-    nu = boundary_normals(ellipse_mesh)
-    kappa = boundary_curvatures(ellipse_mesh)
+    nu = boundary._frames(ellipse_mesh).nu
+    kappa = boundary._frames(ellipse_mesh).kappa
     q_nu = np.einsum("ij,ij->i", pts - z, nu)
     assert np.abs(lhs - (1.0 - kappa * q_nu)).max() < 1e-8
 
@@ -148,7 +152,7 @@ def test_laplace_beltrami_integrates_to_zero(pdisk_mesh):
 
 def test_support_integral_ellipse(ellipse_mesh):
     pts = ellipse_mesh.nodes[ellipse_mesh.boundary_idx]
-    nu = boundary_normals(ellipse_mesh)
+    nu = boundary._frames(ellipse_mesh).nu
     for z in (np.zeros(2), np.array([0.4, 0.2])):
         vals = np.einsum("ij,ij->i", pts - z, nu)
         assert abs(surface_integral(ellipse_mesh, vals) - 4 * np.pi) < 1e-8
@@ -162,11 +166,29 @@ def test_weights_sum_to_perimeter(ellipse_mesh):
 # -- integration by parts -----------------------------------------------------------------
 
 
+def check_integration_by_parts(mesh, v, w):
+    """Residual of the closed-curve identity
+    integral <grad_G v, grad_G w> dS = - integral v (Lap_G w) dS
+    for boundary values v, w.
+
+    Both derivatives are taken spectrally, so the residual measures the
+    self-consistency of the boundary calculus; returns (abs_residual,
+    rel_residual).
+    """
+    dv = spectral_tangential_derivative(mesh, v)
+    dw = spectral_tangential_derivative(mesh, w)
+    lhs = surface_integral(mesh, dv * dw)
+    rhs = surface_integral(mesh, v * laplace_beltrami(mesh, w))
+    abs_res = abs(lhs + rhs)
+    rel = abs_res / max(abs(lhs), abs(rhs), 1e-14)
+    return abs_res, rel
+
+
 def test_parts_coordinate_field(disk_mesh):
-    f = FemField(disk_mesh, disk_mesh.nodes[:, 0])
-    abs_res, rel = check_integration_by_parts(disk_mesh, trace(f), trace(f))
+    tv = FemField(disk_mesh, disk_mesh.nodes[:, 0]).trace_values()
+    abs_res, rel = check_integration_by_parts(disk_mesh, tv, tv)
     # both sides equal pi on the unit circle
-    dv = spectral_tangential_derivative(disk_mesh, trace(f))
+    dv = spectral_tangential_derivative(disk_mesh, tv)
     lhs = surface_integral(disk_mesh, dv**2)
     assert abs(lhs - np.pi) < 1e-8
     assert abs_res <= 1e-8
@@ -175,7 +197,7 @@ def test_parts_coordinate_field(disk_mesh):
 def test_parts_constant(disk_mesh):
     c = np.full(len(disk_mesh.boundary_idx), 2.5)
     f = FemField(disk_mesh, disk_mesh.nodes[:, 1])
-    abs_res, _ = check_integration_by_parts(disk_mesh, c, trace(f))
+    abs_res, _ = check_integration_by_parts(disk_mesh, c, f.trace_values())
     assert abs_res <= 1e-10
 
 
@@ -197,6 +219,35 @@ def test_parts_random_fourier(pdisk_mesh):
 # -- flux-Hessian boundary identities ---------------------------------------------------------
 
 
+def lemma21_residual(u_field, kind):
+    """Pointwise boundary residual of the flux-Hessian identities of Lemma 2.1.
+
+    For a torsion field with constant trace (kind="dirichlet"):
+        <H u_rec grad u, nu> = u_nu (2 - kappa u_nu).
+    For a torsion field with constant normal derivative (kind="neumann"):
+        <H u_rec grad u, nu> = -kappa |grad_G u|^2
+                               + u_nu (2 - Lap_G u - kappa u_nu).
+    Uses recovered Hessians and the planar reduction of the normal-field
+    Jacobian (<(grad nu) t, t> = kappa |t|^2 for tangential t).  The field
+    must pass the audit of its kind.
+    """
+    (audit_dirichlet if kind == "dirichlet" else audit_neumann)(u_field)
+    mesh = u_field.mesh
+    idx = mesh.boundary_idx
+    rec = u_field.recovered
+    frames = boundary._frames(mesh)
+    kappa = frames.kappa
+    unu = normal_derivative(u_field)
+    lhs = hessian_flux(rec.hessian[idx], rec.gradient[idx], frames.nu)
+    if kind == "dirichlet":
+        rhs = unu * (2.0 - kappa * unu)
+    else:
+        gt = tangential_gradient(u_field)
+        lap_u = laplace_beltrami(mesh, u_field.trace_values())
+        rhs = -kappa * gt**2 + unu * (2.0 - lap_u - kappa * unu)
+    return lhs - rhs
+
+
 def test_lemma21_disk_dirichlet(disk_dirichlet):
     res = lemma21_residual(disk_dirichlet, "dirichlet")
     assert np.abs(res).max() <= 1e-4
@@ -206,7 +257,7 @@ def test_lemma21_ellipse_dirichlet(ellipse_dirichlet):
     res = lemma21_residual(ellipse_dirichlet, "dirichlet")
     # closed form: at (2,0) both sides equal 0.8 * (2 - 2*0.8) = 0.32
     unu = normal_derivative(ellipse_dirichlet)
-    kappa = boundary_curvatures(ellipse_dirichlet.mesh)
+    kappa = boundary._frames(ellipse_dirichlet.mesh).kappa
     i = np.argmin(np.abs(ellipse_dirichlet.mesh.boundary_theta))
     rhs = unu[i] * (2 - kappa[i] * unu[i])
     assert abs(rhs - 0.32) < 1e-3
@@ -280,7 +331,6 @@ def test_boundary_record_built_once_per_mesh(pdisk, monkeypatch):
 
     monkeypatch.setattr(boundary, "fft_antiderivative", counting)
     u = solve_torsion_neumann(generate_mesh(pdisk, 0.2))
-    trace(u)
     normal_derivative(u)
     tangential_gradient(u)
     eval_neumann_identity(u, (0.0, 0.0))
@@ -291,7 +341,7 @@ def test_normal_tangential_reconstructs_vectors(ellipse_mesh):
     rng = np.random.default_rng(3)
     v = rng.uniform(-1.0, 1.0, (len(ellipse_mesh.boundary_idx), 2))
     v_nu, v_tau = normal_tangential(ellipse_mesh, v)
-    nu = boundary_normals(ellipse_mesh)
+    nu = boundary._frames(ellipse_mesh).nu
     tau = np.stack([-nu[:, 1], nu[:, 0]], axis=1)   # counter-clockwise unit tangent
     back = v_nu[:, None] * nu + v_tau[:, None] * tau
     assert np.abs(back - v).max() <= 1e-15

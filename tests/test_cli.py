@@ -135,6 +135,7 @@ def test_verify_identity_rigid(tmp_path, disk_spec):
     assert data["identity"] == "neumann_1_11"
     assert data["anchor"] == "Eq. (1.11)"
     assert abs(data["abs_residual"]) < 1e-8
+    assert data["extras"]["rigidity_holds"] is True
 
 
 def test_verify_identity_tight_tol_fails(tmp_path, pdisk_spec):
@@ -311,6 +312,8 @@ def test_missing_domain_file_is_operational_error(tmp_path, capsys, content):
         ({"rho0": True}, ["solve", "--h-target", "0.2"]),
         ({"rho0": 1, "center": ["0.1", 0]}, ["solve", "--h-target", "0.2"]),
         ({"ellipse": [2, 1], "center": [1e17, 0]}, ["solve", "--h-target", "0.2"]),
+        ({"rho0": 1.0, "modes": []},
+         ["verify-identity", "--identity", "general_1_9", "--z", "0.1,0.2"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, monkeypatch, spec, argv):
@@ -332,8 +335,8 @@ def test_bad_input_is_operational_error(tmp_path, capsys, monkeypatch, spec, arg
     manifest = tmp_path / "r" / "manifest.json"
     if manifest.parent.exists():   # the run had started, so it records the failure
         assert json.loads(manifest.read_text())["status"] == 1
-    if "--alpha" in argv:
-        assert meshes == []   # a bad exponent is rejected before any mesh is built
+    if "--alpha" in argv or "--z" in argv:
+        assert meshes == []   # a bad exponent or point fails before any mesh is built
 
 
 # valid specs: every star spec has a mode row, and all pass build_domain

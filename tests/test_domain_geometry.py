@@ -8,16 +8,13 @@ from serrinlab.errors import (
     InvalidSpec,
     NonPositiveRadius,
     NotStarShaped,
-    OutsideDomain,
     PointNotInterior,
 )
 from serrinlab.geometry import (
     EllipseDomain,
     build_domain,
-    distance_to_boundary,
     domain_from_spec,
     distances_to_boundary,
-    measures,
     radii_about,
 )
 from serrinlab._quadrature import periodic_integral
@@ -178,7 +175,7 @@ def test_normal_orthogonal_to_tangent():
 
 
 def test_disk_measures():
-    m = measures(unit_disk())
+    m = unit_disk().measures
     assert abs(m.area - np.pi) < 1e-10
     assert abs(m.perimeter - 2 * np.pi) < 1e-10
     assert abs(m.R - 1.0) < 1e-10
@@ -187,7 +184,7 @@ def test_disk_measures():
 
 def test_ellipse_measures_against_quadrature_oracle():
     a, b = 2.0, 1.0
-    m = measures(EllipseDomain(a, b))
+    m = EllipseDomain(a, b).measures
     # independent oracle: arclength of the parametric curve by scipy.quad
     speed = lambda t: np.sqrt(a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2)
     per, _ = quad(speed, 0, 2 * np.pi, limit=200)
@@ -199,13 +196,13 @@ def test_ellipse_measures_against_quadrature_oracle():
 
 
 def test_perturbed_R_close_to_one():
-    m = measures(perturbed_disk(0.05, 2))
+    m = perturbed_disk(0.05, 2).measures
     assert abs(m.R - 1.0) <= 0.01
 
 
 def test_isoperimetric_inequality():
     for dom in [unit_disk(), perturbed_disk(0.1, 3), EllipseDomain(2, 1)]:
-        m = measures(dom)
+        m = dom.measures
         assert m.perimeter >= 2 * np.sqrt(np.pi * m.area) - 1e-10
 
 
@@ -222,7 +219,7 @@ def test_gauss_bonnet():
 def test_divergence_theorem_support_integral():
     # closed-curve identity: integral of <x - z, nu> ds = 2 |Omega| for any z
     for dom in [perturbed_disk(0.07, 2), EllipseDomain(2, 1)]:
-        m = measures(dom)
+        m = dom.measures
         for z in [np.array([0.0, 0.0]), np.array([0.2, -0.1])]:
             def integrand(t, dom=dom, z=z):
                 p, nu, _, speed = dom.frame_arrays(t)
@@ -237,18 +234,13 @@ def test_divergence_theorem_support_integral():
 
 def test_distance_disk():
     d = unit_disk()
-    assert abs(distance_to_boundary(d, (0.0, 0.0)) - 1.0) < 1e-10
-    assert abs(distance_to_boundary(d, (0.5, 0.0)) - 0.5) < 1e-10
+    assert abs(radii_about(d, (0.0, 0.0))[0] - 1.0) < 1e-10
+    assert abs(radii_about(d, (0.5, 0.0))[0] - 0.5) < 1e-10
 
 
 def test_distance_perturbed_center():
     d = perturbed_disk(0.05, 2)
-    assert abs(distance_to_boundary(d, (0.0, 0.0)) - 0.95) < 1e-10
-
-
-def test_distance_outside_raises():
-    with pytest.raises(OutsideDomain):
-        distance_to_boundary(unit_disk(), (1.5, 0.0))
+    assert abs(radii_about(d, (0.0, 0.0))[0] - 0.95) < 1e-10
 
 
 def test_distances_vectorized_matches_scalar():
@@ -256,7 +248,7 @@ def test_distances_vectorized_matches_scalar():
     pts = np.array([[0.0, 0.0], [0.3, 0.2], [-0.5, 0.1], [0.0, 0.6]])
     vec = distances_to_boundary(d, pts)
     for p, v in zip(pts, vec):
-        assert abs(v - distance_to_boundary(d, p)) < 1e-8
+        assert abs(v - radii_about(d, p)[0]) < 1e-8
 
 
 def test_distances_blocked_match_per_block_calls():
@@ -276,7 +268,7 @@ def test_distances_blocked_match_per_block_calls():
     chunks = [distances_to_boundary(dom, pts[i:i + 777]) for i in range(0, n, 777)]
     assert np.array_equal(vec, np.concatenate(chunks))
     for i in rng.choice(n, 20, replace=False):
-        assert abs(vec[i] - distance_to_boundary(dom, pts[i])) <= 1e-12
+        assert abs(vec[i] - radii_about(dom, pts[i])[0]) <= 1e-12
 
 
 def test_distances_ellipse_axis_closed_form():
@@ -288,7 +280,7 @@ def test_distances_ellipse_axis_closed_form():
     pts = np.stack([x0, np.zeros_like(x0)], axis=1)
     assert np.abs(distances_to_boundary(ell, pts) - exact).max() < 1e-12
     for p, delta in zip(pts, exact):
-        assert abs(distance_to_boundary(ell, p) - delta) < 1e-12
+        assert abs(radii_about(ell, p)[0] - delta) < 1e-12
     rho_i, rho_e = radii_about(ell, (0.0, 0.0))
     assert abs(rho_i - 1.0) < 1e-12 and abs(rho_e - 2.0) < 1e-12
 
@@ -322,11 +314,22 @@ def test_distance_kernel_property(rho0, modes, center, angle, depth):
     e = np.array([np.cos(angle), np.sin(angle)])
     x = dom.center + depth * float(dom.radius(angle)) * e
     vec = float(distances_to_boundary(dom, x[None, :])[0])
-    scalar = distance_to_boundary(dom, x)
+    scalar = radii_about(dom, x)[0]
     assert abs(vec - scalar) < 1e-10
     theta = np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)
     sampled = np.sqrt(((dom.boundary_point(theta) - x) ** 2).sum(-1)).min()
     assert max(vec, scalar) <= sampled + 1e-14
+
+
+@pytest.mark.xfail(strict=True, reason="the kernel polishes only the nearest sample's basin")
+def test_distance_near_the_medial_axis():
+    # at x, on the medial axis of a 3-fold domain, two boundary basins nearly
+    # tie; distances_to_boundary returns 0.96875 from the farther one, and
+    # the extrema refinement of radii_about finds 0.9687499991339746
+    dom = build_domain(1.0, [(3, 0.0, 0.03125)])
+    x = np.array([1e-9, 0.0])
+    vec = float(distances_to_boundary(dom, x[None, :])[0])
+    assert abs(vec - radii_about(dom, x)[0]) <= 1e-12
 
 
 def test_radii_disk():
@@ -350,7 +353,7 @@ def test_radii_not_interior_raises():
 def test_remark_curvature_bounds():
     # kappa <= 1/r_i at all sampled boundary points
     for dom in [unit_disk(), perturbed_disk(0.1, 3), EllipseDomain(2, 1)]:
-        m = measures(dom)
+        m = dom.measures
         theta = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
         _, _, kappa, _ = dom.frame_arrays(theta)
         upper = np.inf if m.r_i == 0 else 1.0 / m.r_i

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import domain_or_reject, domain_specs, shifted
+from conftest import delta_p, domain_or_reject, domain_specs, shifted
 from serrinlab.errors import NotDirichlet, NotNeumann, NotTorsion
+from serrinlab.geometry import build_domain, radii_about
 from serrinlab.identities import (
+    RIGIDITY_TOL,
     eval_classical_identity,
     eval_general_identity,
     eval_mother_identity,
     eval_neumann_identity,
-    p_function,
     paraboloid_field,
-    rigidity_test,
 )
 from serrinlab.meshfem import (
     _check_residual,
@@ -33,25 +33,25 @@ ELLIPSE_LHS = 0.72 * 4 * np.pi / 5  # 18/25 * volume moment of the torsion field
 
 def test_p_function_disk(disk_dirichlet, disk_neumann):
     for f in (disk_dirichlet, disk_neumann):
-        _, dP = p_function(f)
+        dP = delta_p(f)
         interior = np.linalg.norm(f.mesh.nodes, axis=1) < 0.8
-        assert np.abs(dP.coeffs[interior]).max() <= 1e-6
+        assert np.abs(dP[interior]).max() <= 1e-6
 
 
 def test_p_function_ellipse(ellipse_dirichlet):
-    _, dP = p_function(ellipse_dirichlet)
+    dP = delta_p(ellipse_dirichlet)
     nodes = ellipse_dirichlet.mesh.nodes
     interior = (nodes[:, 0] / 2) ** 2 + nodes[:, 1] ** 2 < 0.7
-    assert np.abs(dP.coeffs[interior] - 0.72).max() < 1e-3
+    assert np.abs(dP[interior] - 0.72).max() < 1e-3
 
 
 def test_p_function_positivity_interior(pdisk_neumann):
-    _, dP = p_function(pdisk_neumann)
+    dP = delta_p(pdisk_neumann)
     nodes = pdisk_neumann.mesh.nodes
     interior = np.linalg.norm(nodes, axis=1) < 0.8 * pdisk_neumann.mesh.domain.radius(
         np.arctan2(nodes[:, 1], nodes[:, 0])
     )
-    assert dP.coeffs[interior].min() >= -1e-6
+    assert dP[interior].min() >= -1e-6
 
 
 # -- general identity -------------------------------------------------------------
@@ -214,30 +214,33 @@ def test_flux_datum_converges_to_continuum_R(disk_mesh, pdisk_mesh, ellipse_mesh
 # -- rigidity ----------------------------------------------------------------------------------
 
 
+def _sphere_deviation(field, z):
+    rho_i, rho_e = radii_about(field.mesh.domain, z)
+    return rho_e - rho_i
+
+
 def test_rigidity_disk(disk_neumann):
-    v = rigidity_test(disk_neumann, (0.0, 0.0))
-    assert abs(v.rhs_value) <= 1e-6
-    assert v.v_small
-    assert v.sphere_deviation <= 1e-10
-    assert v.implication_ok
+    rep = eval_neumann_identity(disk_neumann, (0.0, 0.0))
+    assert abs(rep.rhs) <= 1e-6
+    assert rep.lhs <= RIGIDITY_TOL
+    assert _sphere_deviation(disk_neumann, (0.0, 0.0)) <= 1e-10
+    assert rep.extras["rigidity_holds"] is True
 
 
 def test_rigidity_perturbed(pdisk_neumann):
-    v = rigidity_test(pdisk_neumann, (0.0, 0.0))
-    assert v.rhs_value > 0
-    assert v.volume_value > 0
-    assert abs(v.sphere_deviation - 0.1) < 1e-3
-    assert v.implication_ok
+    rep = eval_neumann_identity(pdisk_neumann, (0.0, 0.0))
+    assert rep.rhs > 0
+    assert rep.lhs > 0
+    assert abs(_sphere_deviation(pdisk_neumann, (0.0, 0.0)) - 0.1) < 1e-3
+    assert rep.extras["rigidity_holds"] is True
 
 
 def test_rigidity_volume_monotone_in_amplitude(disk):
-    from serrinlab.geometry import build_domain
-
     vols = []
     for eps in (0.0125, 0.025, 0.05, 0.1):
         dom = build_domain(1.0, [(2, eps, 0.0)])
         u = solve_torsion_neumann(generate_mesh(dom, 0.1))
-        vols.append(rigidity_test(u, (0.0, 0.0)).volume_value)
+        vols.append(eval_neumann_identity(u, (0.0, 0.0)).lhs)
     assert all(b > a for a, b in zip(vols, vols[1:]))
 
 

@@ -1,6 +1,5 @@
 """Every top-level function and class of the library has a caller in the
-library or is exported by the package: code that only tests reach belongs
-in the tests."""
+library: code that only tests reach belongs in the tests."""
 
 import ast
 from collections import defaultdict
@@ -25,16 +24,10 @@ def _used_names(node):
 
 def unreached_definitions(src=SRC):
     """(module, name) of each top-level def or class that no library code
-    outside its own definition uses and `__init__` does not export."""
-    init = ast.parse((src / "__init__.py").read_text())
-    exported = {
-        alias.name
-        for node in init.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    outside its own definition uses."""
     top_level = [
         (path.stem, node)
-        for path in sorted(src.glob("*.py")) if path.name != "__init__.py"
+        for path in sorted(src.glob("*.py"))
         for node in ast.parse(path.read_text()).body
     ]
     users = defaultdict(set)   # name -> top-level nodes whose code uses it
@@ -45,8 +38,7 @@ def unreached_definitions(src=SRC):
     return [
         (module, node.name)
         for key, (module, node) in enumerate(top_level)
-        if isinstance(node, defs) and node.name not in exported
-        and not users[node.name] - {key}
+        if isinstance(node, defs) and not users[node.name] - {key}
     ]
 
 
