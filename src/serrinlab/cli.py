@@ -33,6 +33,7 @@ from .meshfem import (
 from .polycheck import identity_case_table
 from .spectral import check_l2_oscillation_bound, eigenvalues
 from .stability import (
+    IDENTITY_TOL,
     NOISE_FLOOR,
     SWEEP_R2_MIN,
     SWEEP_SLOPE_MAX,
@@ -152,14 +153,6 @@ def _finite_float(text):
     return value
 
 
-def _holder_exponent(text):
-    """argparse type of --alpha: a Hoelder exponent in (0, 1]."""
-    value = _finite_float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"needs an exponent in (0, 1], got {text!r}")
-    return value
-
-
 def _load_domain(args):
     """The domain of --domain; an unreadable or non-JSON file is an InvalidSpec."""
     try:
@@ -206,22 +199,15 @@ def cmd_solve(args, run):
 
 
 def cmd_verify_identity(args, run):
-    z = None
-    if args.z != "auto":
-        if args.identity == "general_1_9":
-            raise InvalidSpec("--z: general_1_9 takes no point")
-        z = np.array(_numbers(args.z, "--z", float))
-        if z.shape != (2,):
-            raise InvalidSpec(f"--z needs 'auto' or two numbers x,y, got {args.z!r}")
     domain = _load_domain(args)
     mesh = generate_mesh(domain, args.h_target)
-    reports = identity_reports(mesh, args.identity, z)
+    reports = identity_reports(mesh, args.identity)
     status = PASS
     for rep in reports:
         data = {**vars(rep), "anchor": ANCHORS[rep.identity]}
         run.write_json(f"identity_{rep.identity}.json", data)
         rigid = max(abs(rep.lhs), abs(rep.rhs)) <= NOISE_FLOOR
-        if rep.rel_residual > args.tol and not rigid:
+        if rep.rel_residual > IDENTITY_TOL and not rigid:
             status = CONTRACT_FAIL
     return run.finish(status)
 
@@ -264,12 +250,7 @@ def cmd_spectral(args, run):
 
 def cmd_sweep(args, run):
     amplitudes = _numbers(args.amplitudes, "--amplitudes", float)
-    result = stability_sweep(
-        args.mode,
-        amplitudes,
-        h_target=args.h_target,
-        alpha=args.alpha,
-    )
+    result = stability_sweep(args.mode, amplitudes, h_target=args.h_target)
     header = [
         "epsilon", "rho_gap", *result.records[0].deviations.kinds(),
         "z_x", "z_y", "delta_z", "mesh_h", "in_smallness_regime", "flags",
@@ -311,7 +292,7 @@ def cmd_check_bounds(args, run):
     mesh = generate_mesh(domain, args.h_target)
     u = solve_torsion_neumann(mesh)
     gb = geometric_bounds_check(u)
-    ob = oscillation_bound_check(u, alpha=args.alpha)
+    ob = oscillation_bound_check(u)
     l2 = check_l2_oscillation_bound(u, argmin_point(u).z)
     data = {
         "geometric": vars(gb),
@@ -336,7 +317,7 @@ def cmd_strong_deviation(args, run):
     rows = []
     for eps in amplitudes:
         mesh = generate_mesh(family_domain(args.mode, eps), args.h_target)
-        rep = strong_deviation_pipeline(solve_torsion_neumann(mesh), alpha=args.alpha)
+        rep = strong_deviation_pipeline(solve_torsion_neumann(mesh))
         rows.append((eps, rep))
     header = [
         "epsilon", "flux_deviation_l2", "flux_deviation_c0alpha",
@@ -398,12 +379,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, domain=True, alpha=False):
+    def common(sp, domain=True):
         if domain:
             sp.add_argument("--domain", required=True, help="domain spec JSON path")
         sp.add_argument("--h-target", dest="h_target", type=_finite_float, default=0.05)
-        if alpha:
-            sp.add_argument("--alpha", type=_holder_exponent, default=0.5)
 
     sp = sub.add_parser("solve", help="solve one boundary value problem")
     common(sp)
@@ -417,11 +396,6 @@ def build_parser():
     sp = sub.add_parser("verify-identity", help="evaluate one integral identity")
     common(sp)
     sp.add_argument("--identity", required=True, choices=sorted(ANCHORS))
-    sp.add_argument(
-        "--z", default="auto",
-        help="'auto' or 'x,y'; general_1_9 takes no point and rejects it",
-    )
-    sp.add_argument("--tol", type=_finite_float, default=1e-2)
     sp.set_defaults(func=cmd_verify_identity)
 
     sp = sub.add_parser("pointwise-identity", help="exact polynomial checks")
@@ -435,17 +409,17 @@ def build_parser():
     sp.set_defaults(func=cmd_spectral)
 
     sp = sub.add_parser("sweep", help="perturbation-family stability sweep")
-    common(sp, domain=False, alpha=True)
+    common(sp, domain=False)
     sp.add_argument("--mode", type=int, default=2)
     sp.add_argument("--amplitudes", default="0.0125,0.025,0.05,0.1")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("check-bounds", help="pointwise and spectral bounds")
-    common(sp, alpha=True)
+    common(sp)
     sp.set_defaults(func=cmd_check_bounds)
 
     sp = sub.add_parser("strong-deviation", help="harmonic-split pipeline")
-    common(sp, domain=False, alpha=True)
+    common(sp, domain=False)
     sp.add_argument("--mode", type=int, default=2)
     sp.add_argument("--amplitudes", required=True)
     sp.set_defaults(func=cmd_strong_deviation)

@@ -117,20 +117,9 @@ def paraboloid_boundary(mesh, z):
 
 
 def paraboloid_field(mesh, z) -> FemField:
-    """The paraboloid q(x) = |x - z|^2 / 2 as a field.
-
-    Nodal coefficients are the interpolant; its recovered derivatives are
-    the closed forms (gradient x - z, unit Hessian), so identity evaluations
-    with v = q specialize to the dedicated paraboloid forms to roundoff.
-    """
-    z = np.asarray(z, dtype=float)
-    rel = mesh.nodes - z
-    f = FemField(mesh, 0.5 * (rel**2).sum(1), kind="generic")
-    f.analytic_gradient = lambda pts: np.asarray(pts) - z
-    f.analytic_hessian = lambda pts: np.broadcast_to(
-        np.array([1.0, 1.0, 0.0]), (len(pts), 3)
-    ).copy()
-    return f
+    """The P2 interpolant of the paraboloid q(x) = |x - z|^2 / 2."""
+    rel = mesh.nodes - np.asarray(z, dtype=float)
+    return FemField(mesh, 0.5 * (rel**2).sum(1))
 
 
 def _delta_p_quad(field):

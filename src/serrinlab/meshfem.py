@@ -506,20 +506,12 @@ def boundary_load_vector(mesh):
 # -- fields -----------------------------------------------------------------
 
 class FemField:
-    """Scalar P2 field on a mesh; immutable after the solve.
-
-    Fields representing a known analytic function (e.g. the paraboloid
-    q = |x-z|^2/2) may carry ``analytic_gradient``/``analytic_hessian``
-    callables; derivative recovery then returns the closed forms instead of
-    patch fits, making downstream identity algebra exact for such fields.
-    """
+    """Scalar P2 field on a mesh; immutable after the solve."""
 
     def __init__(self, mesh, coeffs, kind="generic"):
         self.mesh = mesh
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.kind = kind
-        self.analytic_gradient = None   # callable points (P,2) -> (P,2)
-        self.analytic_hessian = None    # callable points (P,2) -> (P,3) xx,yy,xy
         self._cache = {}
         if self.coeffs.shape != (mesh.n_nodes,):
             raise ValueError("coefficient vector does not match mesh dof count")
@@ -576,10 +568,6 @@ def _recover(field):
     summed over each patch by sparse products, and one batched solve.
     """
     mesh = field.mesh
-    if field.analytic_gradient is not None:
-        grad = field.analytic_gradient(mesh.nodes)
-        hess = field.analytic_hessian(mesh.nodes)
-        return RecoveredDerivatives(grad, hess, [])
     geo = _recovery_geometry(mesh)
     gref = np.einsum("qnd,tn->tqd", p2_dshape(_SPR_REF), field.coeffs[mesh.triangles])
     gsamp = np.einsum("tqd,tqdk->tqk", gref, geo["inv"])   # (T,3,2) physical grads

@@ -50,7 +50,8 @@ from .meshfem import (
     solve_torsion_neumann,
 )
 
-DEFAULT_ALPHA = 0.5
+HOLDER_ALPHA = 0.5   # the Hoelder exponent of every C^{0,alpha} deviation
+IDENTITY_TOL = 1e-2  # verify-identity passes when rel_residual <= IDENTITY_TOL
 RIGID_GAP_FLOOR = 1e-10
 NOISE_FLOOR = 1e-8   # identity terms below this are rigid-case noise
 REL_FLOOR = 1e-6     # relative residuals below this are converged noise
@@ -66,10 +67,12 @@ SWEEP_R2_MIN = 0.98      # least SWEEP_R2_MIN
 @dataclass
 class ArgminResult:
     """The minimum point z, the lowest node, from which one Newton step
-    reaches z, and the distance of z to the boundary."""
+    reaches z, and the radii about z: rho_i is the distance of z to the
+    boundary."""
     z: np.ndarray
     node: int
-    delta: float
+    rho_i: float
+    rho_e: float
 
 
 @_memo
@@ -79,10 +82,11 @@ def argmin_point(u_field) -> ArgminResult:
     One Newton step from the lowest node n on its patch-recovered gradient
     g_n and Hessian H_n: z = x_n - H_n^{-1} g_n.  z moves continuously with
     the coefficients while the lowest node stays the same, and on a mesh
-    symmetric about that node it is the node to roundoff.  Raises
-    BoundaryMinimum when n or z lies on the boundary, and NotTorsion when
-    H_n is not positive definite (at the minimum of a constant-source field
-    H is positive definite with trace 2).
+    symmetric about that node it is the node to roundoff.  The radii about
+    z come from one `radii_about` call.  Raises BoundaryMinimum when n or z
+    lies on the boundary, PointNotInterior when z lies outside, and
+    NotTorsion when H_n is not positive definite (at the minimum of a
+    constant-source field H is positive definite with trace 2).
     """
     mesh = u_field.mesh
     n = int(np.argmin(u_field.coeffs))
@@ -99,13 +103,13 @@ def argmin_point(u_field) -> ArgminResult:
         )
     H = np.array([[hxx, hxy], [hxy, hyy]])
     z = mesh.nodes[n] - np.linalg.solve(H, u_field.recovered.gradient[n])
-    dist = float(distances_to_boundary(mesh.domain, z[None, :])[0])
-    if dist < 1e-8:
+    rho_i, rho_e = radii_about(mesh.domain, z)
+    if rho_i < 1e-8:
         raise BoundaryMinimum(
             f"minimum point {z} sits on the boundary; "
             "inconsistent with a positive constant flux"
         )
-    return ArgminResult(z=z, node=n, delta=dist)
+    return ArgminResult(z=z, node=n, rho_i=rho_i, rho_e=rho_e)
 
 
 # -- deviation measures ------------------------------------------------------------
@@ -133,7 +137,7 @@ class DeviationSet:
         return self.osc_gamma_u + self.grad_l2
 
 
-def deviations(u_field, alpha=DEFAULT_ALPHA) -> DeviationSet:
+def deviations(u_field) -> DeviationSet:
     """All boundary deviation measures of a constant-flux field."""
     audit_neumann(u_field)
     mesh = u_field.mesh
@@ -146,7 +150,7 @@ def deviations(u_field, alpha=DEFAULT_ALPHA) -> DeviationSet:
     grad_l2 = math.sqrt(surface_integral(mesh, gt**2))
     f_l2 = math.sqrt(surface_integral(mesh, f**2))
     tangential_norm = math.hypot(f_l2, grad_l2)
-    hol = holder_seminorm(mesh, -gt, alpha)
+    hol = holder_seminorm(mesh, -gt, HOLDER_ALPHA)
     c1 = osc + grad_inf + hol
     return DeviationSet(osc, grad_inf, grad_l2, tangential_norm, c1)
 
@@ -179,7 +183,7 @@ def geometric_bounds_check(u_field) -> GeometricBoundsReport:
     m = mesh.domain.measures
     quad_slack = float((f - 0.5 * delta**2).min())
     lin_slack = float((f - 0.5 * m.r_i * delta).min())
-    delta_z = argmin_point(u_field).delta
+    delta_z = argmin_point(u_field).rho_i
     grad_sup = float(np.linalg.norm(u_field.recovered.gradient, axis=1).max())
     osc = float(ubar - u_field.trace_values().min())
     remark_rhs = (m.r_i**2 - 2.0 * osc) / (2.0 * grad_sup)
@@ -218,7 +222,7 @@ class OscillationBoundReport:
     rigid: bool
 
 
-def oscillation_bound_check(u_field, alpha=DEFAULT_ALPHA) -> OscillationBoundReport:
+def oscillation_bound_check(u_field) -> OscillationBoundReport:
     """Oscillation-of-h diagnostics about the minimum point z.
 
     Requires grad h(z) ~ 0 (z a joint critical point of u and the
@@ -243,15 +247,14 @@ def oscillation_bound_check(u_field, alpha=DEFAULT_ALPHA) -> OscillationBoundRep
     W = float(np.sqrt(quad_integral(mesh, _quad_distances(mesh) * hess_sq)))
     V = weighted_volume(u_field, hess_sq)
 
-    dev = deviations(u_field, alpha)
+    dev = deviations(u_field)
     rigid = W <= 1e-8 or dev.tangential_norm <= 1e-10
     lemma51 = 0.0 if rigid else osc_h / W
     lemma53 = 0.0 if rigid else V / (
         (1.0 + dev.osc_gamma_u) * dev.tangential_norm**2
     )
-    rho_i, rho_e = radii_about(mesh.domain, z)
     m = mesh.domain.measures
-    radii_slack = (rho_e + rho_i) - math.sqrt(m.area / math.pi)
+    radii_slack = (res.rho_e + res.rho_i) - math.sqrt(m.area / math.pi)
     sigma = min(1.0, m.r_i**2 / 4.0)
     return OscillationBoundReport(
         osc_h=osc_h,
@@ -325,29 +328,27 @@ def check_family(mode, amplitudes, n_fit):
         raise InvalidSpec(f"the fit needs {n_fit} distinct amplitudes, got {amplitudes}")
 
 
-def sweep_member(mode, epsilon, h_target, alpha=DEFAULT_ALPHA):
+def sweep_member(mode, epsilon, h_target):
     """One sweep record from one Neumann solve on a mesh at h_target / 2."""
     domain = family_domain(mode, epsilon)
     u = solve_torsion_neumann(generate_mesh(domain, 0.5 * h_target))
     res = argmin_point(u)
-    rho_i, rho_e = radii_about(domain, res.z)
-    dev = deviations(u, alpha)
-    rho_gap = float(rho_e - rho_i)
+    dev = deviations(u)
+    rho_gap = float(res.rho_e - res.rho_i)
     sigma = min(1.0, domain.measures.r_i**2 / 4.0)
     return StabilityRecord(
         epsilon=epsilon,
         rho_gap=rho_gap,
         deviations=dev,
         z=tuple(res.z),
-        delta_z=res.delta,
+        delta_z=res.rho_i,
         mesh_h=u.mesh.h_max,
         in_smallness_regime=dev.uniform() < sigma,
         flags=["rigid"] if rho_gap <= RIGID_GAP_FLOOR else [],
     )
 
 
-def stability_sweep(mode, amplitudes, h_target=0.05,
-                    alpha=DEFAULT_ALPHA) -> SweepResult:
+def stability_sweep(mode, amplitudes, h_target=0.05) -> SweepResult:
     """Perturbation-family sweep of the unit disk with empirical exponent fits.
 
     One record per amplitude (`sweep_member`, one solve at h_target / 2);
@@ -358,7 +359,7 @@ def stability_sweep(mode, amplitudes, h_target=0.05,
     c_fit_first_order is its limit as the amplitudes go to 0.
     """
     check_family(mode, amplitudes, SWEEP_FIT_MIN)
-    records = [sweep_member(mode, float(e), h_target, alpha) for e in amplitudes]
+    records = [sweep_member(mode, float(e), h_target) for e in amplitudes]
     records.sort(key=lambda r: r.epsilon)
 
     usable = [r for r in records if "rigid" not in r.flags]
@@ -381,13 +382,13 @@ def stability_sweep(mode, amplitudes, h_target=0.05,
 
 # -- integral identities over mesh levels ------------------------------------------------
 
-def identity_reports(mesh, identity_id, z=None):
-    """Reports of one integral identity on a mesh; z None means the default point.
+def identity_reports(mesh, identity_id):
+    """Reports of one integral identity on a mesh.
 
     general_1_9 pairs the Dirichlet and the Neumann solution and takes no
-    point.  neumann_1_11 defaults z to the minimum point of the Neumann
+    point.  neumann_1_11 is evaluated at the minimum point of the Neumann
     solution; classical_1_2 and the mother forms use the Dirichlet solution
-    and default z to the domain centre.  Either mother form yields both.
+    at the domain centre.  Either mother form yields both.
     """
     if identity_id not in ANCHORS:
         raise InvalidSpec(f"unknown identity {identity_id!r}")
@@ -396,10 +397,9 @@ def identity_reports(mesh, identity_id, z=None):
         return [eval_general_identity(u, solve_torsion_neumann(mesh))]
     if identity_id == "neumann_1_11":
         u = solve_torsion_neumann(mesh)
-        return [eval_neumann_identity(u, argmin_point(u).z if z is None else z)]
+        return [eval_neumann_identity(u, argmin_point(u).z)]
     u = solve_torsion_dirichlet(mesh)
-    if z is None:
-        z = mesh.domain.center
+    z = mesh.domain.center
     if identity_id == "classical_1_2":
         return [eval_classical_identity(u, z)]
     return list(eval_mother_identity(u, z))
@@ -450,7 +450,7 @@ class StrongDeviationReport:
     laplacian_residual: float
 
 
-def strong_deviation_pipeline(u_field, alpha=DEFAULT_ALPHA) -> StrongDeviationReport:
+def strong_deviation_pipeline(u_field) -> StrongDeviationReport:
     """Auxiliary constant-trace field f = u - w and its flux deviation.
 
     w is the harmonic extension of the trace of u, so f solves the
@@ -466,9 +466,9 @@ def strong_deviation_pipeline(u_field, alpha=DEFAULT_ALPHA) -> StrongDeviationRe
     lap_res = audit_torsion(f)
     dev = neumann_flux(mesh) - normal_derivative(f)
     flux_l2 = math.sqrt(surface_integral(mesh, dev**2))
-    hol = holder_seminorm(mesh, dev, alpha)
+    hol = holder_seminorm(mesh, dev, HOLDER_ALPHA)
     flux_c0 = float(np.abs(dev).max()) + hol
-    u_c1 = deviations(u_field, alpha).c1alpha_norm
+    u_c1 = deviations(u_field).c1alpha_norm
     ratio = flux_c0 / u_c1 if u_c1 > 0 else float("inf")
     return StrongDeviationReport(
         flux_deviation_l2=flux_l2,

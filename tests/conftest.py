@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from serrinlab.boundary import audit_torsion
 from serrinlab.errors import NonPositiveRadius, NotStarShaped
 from serrinlab.geometry import EllipseDomain, build_domain, domain_from_spec
+from serrinlab.identities import paraboloid_field
 from serrinlab.meshfem import (
     SOURCE,
     FemField,
+    RecoveredDerivatives,
     _quad_ops,
     generate_mesh,
     solve_torsion_dirichlet,
@@ -128,6 +130,21 @@ def h1_seminorm_error(field, exact_grad):
 def shifted(field, c):
     """The field plus the constant c."""
     return FemField(field.mesh, field.coeffs + c, field.kind)
+
+
+class ExactParaboloid(FemField):
+    """The interpolant of q(x) = |x - z|^2 / 2 whose recovered derivatives
+    are the closed forms (gradient x - z, unit Hessian), so identity
+    evaluations with v = q specialize to the paraboloid forms to roundoff."""
+
+    def __init__(self, mesh, z):
+        super().__init__(mesh, paraboloid_field(mesh, z).coeffs)
+        rel = mesh.nodes - np.asarray(z, dtype=float)
+        self._exact = RecoveredDerivatives(rel, np.tile([1.0, 1.0, 0.0], (len(rel), 1)), [])
+
+    @property
+    def recovered(self):
+        return self._exact
 
 
 def delta_p(field):

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import delta_p, shifted
+from conftest import ExactParaboloid, delta_p, shifted
 from serrinlab.boundary import normal_derivative
 from serrinlab.geometry import EllipseDomain, build_domain, radii_about
 from serrinlab.identities import (
@@ -18,7 +18,6 @@ from serrinlab.identities import (
     eval_general_identity,
     eval_mother_identity,
     eval_neumann_identity,
-    paraboloid_field,
 )
 from serrinlab.meshfem import (
     generate_mesh,
@@ -209,7 +208,7 @@ def test_criterion_8_equivalence_audits(disk_fields):
         rep_a, rep_b = eval_mother_identity(u, z)
         assert abs(rep_a.abs_residual - rep_b.abs_residual) <= 1e-10
 
-        rep_g = eval_general_identity(u, paraboloid_field(mesh, z))
+        rep_g = eval_general_identity(u, ExactParaboloid(mesh, z))
         assert abs(rep_g.lhs - rep_a.lhs) <= 1e-10
         assert abs(rep_g.rhs - rep_a.rhs) <= 1e-10
         assert abs(rep_g.abs_residual - rep_a.abs_residual) <= 1e-10
@@ -222,7 +221,7 @@ def test_criterion_8_equivalence_audits(disk_fields):
 
         ud, _ = disk_fields
         rep_c = eval_classical_identity(ud, (0.0, 0.0))
-        rep_gd = eval_general_identity(ud, paraboloid_field(ud.mesh, (0.0, 0.0)))
+        rep_gd = eval_general_identity(ud, ExactParaboloid(ud.mesh, (0.0, 0.0)))
         R = neumann_flux(ud.mesh)
         bridged = rep_c.abs_residual - 0.5 * R**2 * rep_c.terms["flux_balance"]
         assert abs(rep_gd.abs_residual - bridged) <= 1e-10

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -124,6 +125,23 @@ def test_every_flag_is_read():
     assert ignored == []
 
 
+def test_readme_names_every_flag():
+    # the flags README's CLI section names are the parser's, --help aside
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for p in (parser, *sub.choices.values())
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert documented - {"--help"} == options - {"--help"}
+
+
 def test_verify_identity_rigid(tmp_path, disk_spec):
     out = tmp_path / "run"
     code = main(
@@ -138,11 +156,12 @@ def test_verify_identity_rigid(tmp_path, disk_spec):
     assert data["extras"]["rigidity_holds"] is True
 
 
-def test_verify_identity_tight_tol_fails(tmp_path, pdisk_spec):
+def test_verify_identity_tight_tol_fails(tmp_path, pdisk_spec, monkeypatch):
+    monkeypatch.setattr(cli, "IDENTITY_TOL", 1e-12)
     out = tmp_path / "run"
     code = main(
         ["--out", str(out), "verify-identity", "--identity", "general_1_9",
-         "--domain", pdisk_spec, "--h-target", "0.1", "--tol", "1e-12"]
+         "--domain", pdisk_spec, "--h-target", "0.1"]
     )
     assert code == 2
 

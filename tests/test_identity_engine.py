@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import delta_p, domain_or_reject, domain_specs, shifted
+from conftest import ExactParaboloid, delta_p, domain_or_reject, domain_specs, shifted
 from serrinlab.errors import NotDirichlet, NotNeumann, NotTorsion
 from serrinlab.geometry import build_domain, radii_about
 from serrinlab.identities import (
@@ -11,7 +11,6 @@ from serrinlab.identities import (
     eval_general_identity,
     eval_mother_identity,
     eval_neumann_identity,
-    paraboloid_field,
 )
 from serrinlab.meshfem import (
     _check_residual,
@@ -75,7 +74,7 @@ def test_general_cross_solutions_ellipse(ellipse_mesh, ellipse_dirichlet):
 
 def test_general_perturbed_neumann(pdisk_neumann):
     rep = eval_general_identity(
-        pdisk_neumann, paraboloid_field(pdisk_neumann.mesh, (0.0, 0.0))
+        pdisk_neumann, ExactParaboloid(pdisk_neumann.mesh, (0.0, 0.0))
     )
     assert rep.rel_residual <= 5e-3
 
@@ -114,7 +113,7 @@ def test_mother_ellipse_oracle(ellipse_dirichlet):
 def test_general_specializes_to_mother(ellipse_dirichlet, pdisk_neumann):
     for f, z in ((ellipse_dirichlet, (0.0, 0.0)), (pdisk_neumann, (0.05, 0.02))):
         rep_a, _ = eval_mother_identity(f, z)
-        rep_g = eval_general_identity(f, paraboloid_field(f.mesh, z))
+        rep_g = eval_general_identity(f, ExactParaboloid(f.mesh, z))
         assert abs(rep_g.lhs - rep_a.lhs) <= 1e-10
         assert abs(rep_g.rhs - rep_a.rhs) <= 1e-10
         assert abs(rep_g.abs_residual - rep_a.abs_residual) <= 1e-10
@@ -191,7 +190,7 @@ def test_classical_reduction_chain(ellipse_dirichlet):
     # residual(general, v=q) == residual(classical) - R^2/2 * flux_balance
     rep_c = eval_classical_identity(ellipse_dirichlet, (0.0, 0.0))
     rep_g = eval_general_identity(
-        ellipse_dirichlet, paraboloid_field(ellipse_dirichlet.mesh, (0.0, 0.0))
+        ellipse_dirichlet, ExactParaboloid(ellipse_dirichlet.mesh, (0.0, 0.0))
     )
     R = neumann_flux(ellipse_dirichlet.mesh)
     bridged = rep_c.abs_residual - 0.5 * R**2 * rep_c.terms["flux_balance"]
@@ -274,7 +273,7 @@ def test_solver_and_identity_invariants(spec):
         rep_a, rep_b = eval_mother_identity(u, z)
         assert rep_a.lhs == rep_b.lhs
         assert abs(rep_a.rhs - rep_b.rhs) <= 1e-13 * scale
-        rep_g = eval_general_identity(u, paraboloid_field(mesh, z))
+        rep_g = eval_general_identity(u, ExactParaboloid(mesh, z))
         assert abs(rep_g.lhs - rep_a.lhs) <= 1e-13 * scale
         assert abs(rep_g.rhs - rep_a.rhs) <= 1e-13 * scale
 

@@ -10,7 +10,7 @@ import pytest
 import serrinlab
 from serrinlab import stability
 from serrinlab.errors import BoundaryMinimum, GradientNotZeroAtZ, InvalidSpec, NotTorsion
-from serrinlab.geometry import build_domain, distances_to_boundary, radii_about
+from serrinlab.geometry import build_domain, radii_about
 from serrinlab.meshfem import FemField, generate_mesh, solve_torsion_neumann
 from serrinlab.stability import (
     argmin_point,
@@ -41,7 +41,7 @@ def test_argmin_once_per_field_with_boundary_distance(pdisk_neumann):
     res = argmin_point(pdisk_neumann)
     assert argmin_point(pdisk_neumann) is res
     domain = pdisk_neumann.mesh.domain
-    assert res.delta == distances_to_boundary(domain, res.z[None])[0]
+    assert (res.rho_i, res.rho_e) == radii_about(domain, res.z)
 
 
 def test_argmin_translated_disk():
@@ -223,7 +223,7 @@ def first_order(k, eps):
     # [sin(k s)]_alpha on the unit circle: |sin(k s) - sin(k t)| peaks at
     # 2 |sin(k d / 2)| over the pairs of arclength separation d <= pi
     d = np.linspace(1e-4, math.pi, 200_001)
-    holder = float((2 * np.abs(np.sin(k * d / 2)) / d**stability.DEFAULT_ALPHA).max())
+    holder = float((2 * np.abs(np.sin(k * d / 2)) / d**stability.HOLDER_ALPHA).max())
     return {
         "rho_gap": 2 * eps,
         "delta_z": 1 - eps,
