@@ -1,9 +1,9 @@
 """Command-line entry point: run solves, identity checks, spectral
 computations, and stability sweeps, persisting machine-readable reports.
 
-Every run writes its artifacts plus a manifest (command, canonical config
-hash, domain spec, seeds, version, timestamp, artifact list) into the
-output directory.  Exit codes: 0 when all asserted contracts pass, 2 on a
+Every run writes its artifacts plus a manifest (command, the values it
+reads with their canonical hash, version, timestamp, artifact list) into
+the output directory.  Exit codes: 0 when all asserted contracts pass, 2 on a
 contract violation, 1 on an operational error; once the output directory
 exists, a failed run's manifest records the error text.
 """
@@ -66,9 +66,17 @@ def _sanitize(obj):
     return obj
 
 
+# the subcommands that read the global --seed
+SEEDED = {"pointwise-identity"}
+
+
 class Run:
     """Creates the output directory, collects artifacts and writes the
-    manifest at the end (with the error text of a failed run)."""
+    manifest at the end (with the error text of a failed run).
+
+    The manifest's config, and its hash, hold the subcommand and the values
+    it reads: not --out, which only says where the reports go, and --seed
+    only where the subcommand reads it."""
 
     def __init__(self, args):
         self.command = args.command
@@ -77,7 +85,8 @@ class Run:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise InvalidSpec(f"--out {args.out!r}: cannot create directory ({exc})")
-        config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+        unread = {"func", "out"} | (set() if args.command in SEEDED else {"seed"})
+        config = {k: v for k, v in sorted(vars(args).items()) if k not in unread}
         self.config = config
         payload = json.dumps(config, sort_keys=True, default=str)
         self.config_hash = hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -142,14 +151,14 @@ def _numbers(text, flag, kind):
     return values
 
 
-def _finite_float(text):
-    """argparse type of a float flag: a finite number."""
+def _positive_float(text):
+    """argparse type of --h-target: a finite number above 0."""
     try:
         value = float(text)
     except ValueError:
         value = np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"needs a finite number above 0, got {text!r}")
     return value
 
 
@@ -382,7 +391,7 @@ def build_parser():
     def common(sp, domain=True):
         if domain:
             sp.add_argument("--domain", required=True, help="domain spec JSON path")
-        sp.add_argument("--h-target", dest="h_target", type=_finite_float, default=0.05)
+        sp.add_argument("--h-target", dest="h_target", type=_positive_float, default=0.05)
 
     sp = sub.add_parser("solve", help="solve one boundary value problem")
     common(sp)

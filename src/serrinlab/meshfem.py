@@ -24,13 +24,18 @@ multiples of 1/6 and 1/360, so K and M store no coupling that vanishes on
 an affine element and SuperLU orders only true nonzeros.  Integrals of P2
 fields are mass-matrix products, exact per element class; anything else is
 integrated by the one degree-4 volume rule (`Mesh.element_ops`), memoized
-per mesh.  The constant flux R_h = 2 |Omega_h| / |Gamma_h| is one per-mesh
-value (`neumann_flux`).  The node -> element incidence is one cached CSR
-matrix (`Mesh.node_elements`); patch recovery of second derivatives reads
-its patches from it.  Its normal matrices depend on the mesh alone and are
+per mesh: its weights, shape values, Jacobian determinants and points, but
+no shape gradients.  `FemField.gradient_at_quad` forms a field's gradient
+one quadrature point at a time, from the element Jacobians at that point.
+The constant flux R_h = 2 |Omega_h| / |Gamma_h| is one per-mesh value
+(`neumann_flux`).  The node -> element incidence is one cached CSR matrix
+(`Mesh.node_elements`); patch recovery of second derivatives reads its
+patches from it.  Its normal matrices depend on the mesh alone and are
 built once per mesh from per-element moments of the sample points; each
 field adds its own moments, patch sums by sparse products and one batched
-solve.
+solve.  The patch sums run over blocks of nodes, so the offsets of each
+node's patch elements exist for one block at a time, never for the whole
+mesh.
 """
 
 import functools
@@ -127,29 +132,46 @@ def _memo(fn):
     return cached
 
 
+def _determinant(J):
+    """det of 2x2 Jacobians J[..., d, k]."""
+    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+
+
 def _inverse_jacobian(J):
     """(detJ, inv) of reference-to-physical Jacobians J[..., d, k] = dx_k/dxi_d.
 
     inv[..., d, k] = d(xi_d)/d(x_k), i.e. (J^{-1})^T, by cofactors.
     """
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    detJ = _determinant(J)
     inv = np.empty_like(J)
     inv[..., 0, 0] = J[..., 1, 1]
     inv[..., 0, 1] = -J[..., 1, 0]
     inv[..., 1, 0] = -J[..., 0, 1]
     inv[..., 1, 1] = J[..., 0, 0]
-    return detJ, inv / detJ[..., None, None]
+    inv /= detJ[..., None, None]
+    return detJ, inv
+
+
+def _rule(degree):
+    """Weights w (Q,), shape values N (Q,6) and gradients dN (Q,6,2) of the
+    triangle rule of the given degree."""
+    bary, w = triangle_rule(degree)
+    ref = bary[:, 1:]  # (xi, eta) = (lambda2, lambda3)
+    return w, p2_shape(ref), p2_dshape(ref)
+
+
+def _jacobian(coords, dN):
+    """Jacobians J (T,Q,2,2), J[t, q, d, k] = dx_k/dxi_d, of the elements with
+    node coordinates coords (T,6,2) at the points with shape gradients dN
+    (Q,6,2)."""
+    return np.swapaxes(dN, 1, 2) @ coords[:, None]
 
 
 def _quad_ops(coords, degree):
     """Operators of the triangle rule of the given degree on the elements
-    with node coordinates coords (T,6,2)."""
-    bary, w = triangle_rule(degree)
-    ref = bary[:, 1:]  # (xi, eta) = (lambda2, lambda3)
-    N = p2_shape(ref)
-    dN = p2_dshape(ref)
-    J = np.swapaxes(dN, 1, 2) @ coords[:, None]    # (T,Q,2,2)
-    detJ, inv = _inverse_jacobian(J)
+    with node coordinates coords (T,6,2), gradients "grad" (T,Q,6,2) too."""
+    w, N, dN = _rule(degree)
+    detJ, inv = _inverse_jacobian(_jacobian(coords, dN))
     return {"w": w, "N": N, "detJ": detJ, "grad": dN @ inv, "qp": N @ coords}
 
 
@@ -201,8 +223,13 @@ class Mesh:
 
     @_memo
     def element_ops(self):
-        """Element operators of the volume rule (degree VOLUME_DEGREE)."""
-        return _quad_ops(self.nodes[self.triangles], VOLUME_DEGREE)
+        """The volume rule (degree VOLUME_DEGREE): weights "w" (Q,), shape
+        values "N" (Q,6), Jacobian determinants "detJ" (T,Q) and points "qp"
+        (T,Q,2).  No gradients: `FemField.gradient_at_quad` forms them."""
+        w, N, dN = _rule(VOLUME_DEGREE)
+        coords = self.nodes[self.triangles]
+        detJ = _determinant(_jacobian(coords, dN))
+        return {"w": w, "N": N, "detJ": detJ, "qp": N @ coords}
 
     @property
     def curved(self):
@@ -485,6 +512,9 @@ def _scatter(mesh, local):
         (local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
     ).tocsr()
     A.eliminate_zeros()    # exact zeros of the affine elements are not stored
+    if A.data.base is not None:
+        # what remains is a view of the (T*36)-entry buffers: keep only it
+        A.data, A.indices = A.data.copy(), A.indices.copy()
     return A
 
 
@@ -520,8 +550,18 @@ class FemField:
         return self.coeffs[self.mesh.boundary_idx]
 
     def gradient_at_quad(self):
-        ops = self.mesh.element_ops()
-        return np.einsum("tqnk,tn->tqk", ops["grad"], self.coeffs[self.mesh.triangles])
+        """Gradient (T,Q,2) at the volume quadrature points, formed one point
+        at a time so that no (T,Q,6,2) array of shape gradients is made."""
+        mesh = self.mesh
+        _, _, dN = _rule(VOLUME_DEGREE)
+        coords = mesh.nodes[mesh.triangles]
+        c = self.coeffs[mesh.triangles]
+        grad = np.empty((len(c), len(dN), 2))
+        for q in range(len(dN)):
+            point = dN[q:q + 1]                          # (1,6,2)
+            _, inv = _inverse_jacobian(_jacobian(coords, point))
+            grad[:, q:q + 1] = np.einsum("tqnk,tn->tqk", point @ inv, c)
+        return grad
 
     def values_at_quad(self):
         return nodal_to_quad(self.mesh, self.coeffs)
@@ -565,7 +605,8 @@ def _recover(field):
 
     The normal matrices depend on the mesh alone (`_recovery_geometry`); a
     field adds only its element moments G0 = sum_q g_q and G1 = sum_q r_q g_q^T,
-    summed over each patch by sparse products, and one batched solve.
+    summed over each patch by sparse products block by block of nodes, and
+    one batched solve.
     """
     mesh = field.mesh
     geo = _recovery_geometry(mesh)
@@ -573,15 +614,18 @@ def _recover(field):
     gsamp = np.einsum("tqd,tqdk->tqk", gref, geo["inv"])   # (T,3,2) physical grads
     g0 = gsamp.sum(axis=1)                                 # (T,2)
     g1 = np.einsum("tqk,tql->tkl", geo["r"], gsamp)        # (T,2,2): [k, l] = sum r_k g_l
-    Dx, Dy, scale = geo["dx"], geo["dy"], geo["scale"]
+    moments = np.hstack([g0, g1.reshape(-1, 4)])
+    scale = geo["scale"]
     # A^T g per node with design rows [1, (x_q - c_n) / s_n], (n,3,2)
-    P = sp.csr_matrix((np.ones(Dx.nnz), Dx.indices, Dx.indptr), shape=Dx.shape)
-    rhs = (P @ np.hstack([g0, g1.reshape(-1, 4)])).reshape(-1, 3, 2)
-    rhs[:, 1:] /= scale[:, None, None]
-    rhs[:, 1] += Dx @ g0
-    rhs[:, 2] += Dy @ g0
+    rhs = np.empty((mesh.n_nodes, 3, 2))
+    for rows, P, Dx, Dy in _patch_blocks(mesh, geo["patches"], geo["xbar"], scale):
+        block = (P @ moments).reshape(-1, 3, 2)
+        block[:, 1:] /= scale[rows, None, None]
+        block[:, 1] += Dx @ g0
+        block[:, 2] += Dy @ g0
+        rhs[rows] = block
     sol = np.linalg.solve(geo["normal"], rhs)              # (n,3,2): gx, gy fits
-    grad = sol[:, 0]
+    grad = sol[:, 0].copy()                                # not a view holding sol
     hxy = 0.5 * (sol[:, 2, 0] + sol[:, 1, 1])
     hess = np.stack([sol[:, 1, 0], sol[:, 2, 1], hxy], 1) / scale[:, None]
 
@@ -589,10 +633,41 @@ def _recover(field):
     if flagged:
         elem_hess = _element_hessians(field)
         for n in flagged:
-            elems = Dx.indices[Dx.indptr[n]:Dx.indptr[n + 1]]
+            elems = geo["patches"][n].indices
             grad[n] = gsamp[elems].mean(axis=(0, 1))
             hess[n] = elem_hess[elems].mean(axis=0)
     return RecoveredDerivatives(grad, hess, flagged)
+
+
+_BLOCK = 4096   # nodes per block of patch sums
+
+
+def _node_blocks(patches):
+    """(rows, elems, ptr) for each block of _BLOCK consecutive nodes: the
+    rows' slice, their patch elements and their row pointer from 0."""
+    indptr, n = patches.indptr, patches.shape[0]
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, min(start + _BLOCK, n))
+        first, last = indptr[rows.start], indptr[rows.stop]
+        yield rows, patches.indices[first:last], indptr[rows.start:rows.stop + 1] - first
+
+
+def _patch_blocks(mesh, patches, xbar, scale):
+    """(rows, P, Dx, Dy) for each block of `_node_blocks`: its patch rows as
+    CSR matrices with ones (P) and with the scaled offsets
+    d_ne = (xbar_e - c_n) / s_n of the x and y coordinates (Dx, Dy) as data,
+    so that no whole-mesh array of patch entries is made."""
+    for rows, elems, ptr in _node_blocks(patches):
+        lens = np.diff(ptr)
+        shape = (len(lens), patches.shape[1])
+        ops = [sp.csr_matrix((np.ones(len(elems)), elems, ptr), shape=shape)]
+        s = np.repeat(scale[rows], lens)
+        for k in range(2):
+            off = xbar[elems, k]
+            off -= np.repeat(mesh.nodes[rows, k], lens)
+            off /= s
+            ops.append(sp.csr_matrix((off, elems, ptr), shape=shape))
+        yield rows, *ops
 
 
 @_memo
@@ -605,59 +680,57 @@ def _recovery_geometry(mesh):
     The moments R1 = sum_q r_q and R2 = sum_q r_q r_q^T per element then give
     the normal matrices as patch sums.  R1 is zero only to rounding, which
     1 / s_n amplifies, so it is kept.  Holds the sample Jacobians "inv"
-    (T,3,2,2), the offsets "r" (T,3,2), the scale s_n, d_ne as the CSR data
-    of "dx" and "dy" on the pattern of `_patch_matrix`, the (n,3,3) normal
-    matrices (the identity where a patch cannot support a fit) and the
-    flagged nodes.
+    (T,3,2,2), the offsets "r" (T,3,2), the sample means "xbar" (T,2), the
+    scale s_n, the "patches" (`_patch_matrix`), the (n,3,3) normal matrices
+    (the identity where a patch cannot support a fit) and the flagged
+    nodes.  d_ne is not held: `_patch_blocks` forms it one block of nodes
+    at a time, here and in each `_recover`.
     """
     coords = mesh.nodes[mesh.triangles]
     dN = p2_dshape(_SPR_REF)                               # (3,6,2)
     _, inv = _inverse_jacobian(np.einsum("tnk,qnd->tqdk", coords, dN))
     psamp = np.einsum("qn,tnk->tqk", p2_shape(_SPR_REF), coords)
+    del coords
     xbar = psamp.mean(axis=1)                              # (T,2)
+    lo, hi = psamp.min(axis=1), psamp.max(axis=1)
     r = psamp - xbar[:, None]
+    del psamp
     R1 = r.sum(axis=1)                                     # (T,2)
     R2 = np.einsum("tqk,tql->tkl", r, r).reshape(-1, 4)[:, [0, 3, 1]]   # xx, yy, xy
-    lo, hi = psamp.min(axis=1), psamp.max(axis=1)
 
     patches = _patch_matrix(mesh)
-    indptr, elems = patches.indptr, patches.indices
-    lens = np.diff(indptr)
-    starts = indptr[:-1]
     # s_n = max |x_q - c_n| over the patch's points and both coordinates;
     # rounding is monotone, so the patch's extreme coordinates give it exactly
     scale = np.zeros(mesh.n_nodes)
-    for k in range(2):
-        c = mesh.nodes[:, k]
-        scale = np.maximum(scale, np.maximum(
-            np.maximum.reduceat(hi[elems, k], starts) - c,
-            c - np.minimum.reduceat(lo[elems, k], starts),
-        ))
-    offsets = []
-    for k in range(2):
-        off = xbar[elems, k]   # in place from here: the CSR data, uncopied
-        off -= np.repeat(mesh.nodes[:, k], lens)
-        off /= np.repeat(scale, lens)
-        offsets.append(off)
-    dx, dy = offsets
-    Dx, Dy = (sp.csr_matrix((d, elems, indptr), shape=patches.shape) for d in offsets)
-    P = sp.csr_matrix((np.ones(len(elems)), elems, indptr), shape=patches.shape)
-    pr1, pr2 = P @ R1 / scale[:, None], P @ R2 / (scale**2)[:, None]
-    xr1, yr1 = Dx @ R1 / scale[:, None], Dy @ R1 / scale[:, None]
-    rowsum = lambda v: np.add.reduceat(v, starts)
+    for rows, elems, ptr in _node_blocks(patches):
+        starts = ptr[:-1]
+        for k in range(2):
+            c = mesh.nodes[rows, k]
+            scale[rows] = np.maximum(scale[rows], np.maximum(
+                np.maximum.reduceat(hi[elems, k], starts) - c,
+                c - np.minimum.reduceat(lo[elems, k], starts),
+            ))
+    del lo, hi
     # patch sums of a a^T over the sample points, a = [1, r_q / s_n + d_ne]
     normal = np.empty((mesh.n_nodes, 3, 3))
-    normal[:, 0, 0] = 3.0 * lens
-    normal[:, 0, 1] = normal[:, 1, 0] = pr1[:, 0] + 3.0 * rowsum(dx)
-    normal[:, 0, 2] = normal[:, 2, 0] = pr1[:, 1] + 3.0 * rowsum(dy)
-    normal[:, 1, 1] = pr2[:, 0] + 2.0 * xr1[:, 0] + 3.0 * rowsum(dx * dx)
-    normal[:, 2, 2] = pr2[:, 1] + 2.0 * yr1[:, 1] + 3.0 * rowsum(dy * dy)
-    normal[:, 1, 2] = normal[:, 2, 1] = (
-        pr2[:, 2] + xr1[:, 1] + yr1[:, 0] + 3.0 * rowsum(dx * dy)
-    )
-    flagged = np.flatnonzero(lens < 3)
+    for rows, P, Dx, Dy in _patch_blocks(mesh, patches, xbar, scale):
+        s = scale[rows, None]
+        pr1, pr2 = P @ R1 / s, P @ R2 / s**2
+        xr1, yr1 = Dx @ R1 / s, Dy @ R1 / s
+        rowsum = lambda v: np.add.reduceat(v, P.indptr[:-1])
+        dx, dy = Dx.data, Dy.data
+        block = normal[rows]
+        block[:, 0, 0] = 3.0 * np.diff(P.indptr)
+        block[:, 0, 1] = block[:, 1, 0] = pr1[:, 0] + 3.0 * rowsum(dx)
+        block[:, 0, 2] = block[:, 2, 0] = pr1[:, 1] + 3.0 * rowsum(dy)
+        block[:, 1, 1] = pr2[:, 0] + 2.0 * xr1[:, 0] + 3.0 * rowsum(dx * dx)
+        block[:, 2, 2] = pr2[:, 1] + 2.0 * yr1[:, 1] + 3.0 * rowsum(dy * dy)
+        block[:, 1, 2] = block[:, 2, 1] = (
+            pr2[:, 2] + xr1[:, 1] + yr1[:, 0] + 3.0 * rowsum(dx * dy)
+        )
+    flagged = np.flatnonzero(np.diff(patches.indptr) < 3)
     normal[flagged] = np.eye(3)
-    return {"inv": inv, "r": r, "scale": scale, "dx": Dx, "dy": Dy,
+    return {"inv": inv, "r": r, "xbar": xbar, "scale": scale, "patches": patches,
             "normal": normal, "flagged": flagged.tolist()}
 
 
@@ -695,8 +768,15 @@ def _check_residual(A, x, b, label):
 
 
 def _factor(mesh, keep):
-    """K restricted to the nodes `keep` (mask or slice) and its sparse LU."""
-    A = assemble_stiffness(mesh)[keep][:, keep].tocsc()
+    """K restricted to the nodes `keep` (mask or slice) and its sparse LU.
+
+    K is symmetric with sorted indices, so the CSR arrays of the restriction
+    are also those of its CSC form: the restriction is the one copy made.
+    A slice pair takes the block in one pass; a mask pair would pick entries
+    pairwise, so a mask takes rows, then columns."""
+    K = assemble_stiffness(mesh)
+    R = K[keep, keep] if isinstance(keep, slice) else K[keep][:, keep]
+    A = sp.csc_matrix((R.data, R.indices, R.indptr), shape=R.shape)
     # symmetric minimum degree: less than half the fill of the default COLAMD
     return A, spla.splu(A, permc_spec="MMD_AT_PLUS_A")
 

@@ -416,6 +416,8 @@ def convergence_study(domain, identity_id, h_list):
     """
     if len(set(h_list)) < 3:
         raise InvalidSpec(f"need at least 3 distinct mesh levels, got {h_list}")
+    if not all(h > 0 for h in h_list):
+        raise InvalidSpec(f"mesh levels must be positive, got {h_list}")
     rows = []
     for h in h_list:
         reports = identity_reports(generate_mesh(domain, h), identity_id)

@@ -22,6 +22,7 @@ import serrinlab
 from serrinlab import cli, stability
 from serrinlab.cli import main
 from serrinlab.geometry import EllipseDomain, build_domain, domain_from_spec
+from serrinlab.identities import ANCHORS
 from serrinlab.meshfem import generate_mesh, solve_torsion_neumann
 from serrinlab.stability import convergence_study
 
@@ -425,6 +426,111 @@ def test_wrong_kind_spec_values_are_operational_errors(spec):
     assert err.getvalue().startswith("error:")
 
 
+def _parses(kind, text):
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _invalid(kind):
+    """Text of a value of `kind` (int or float) that is not a number (and holds
+    no comma), not finite, negative or zero."""
+    return st.one_of(
+        st.text(max_size=5).filter(lambda t: "," not in t and not _parses(kind, t)),
+        st.sampled_from(["nan", "-inf", "inf", "NaN", "1e999"]),
+        st.floats(max_value=0.0).map(repr) if kind is float
+        else st.integers(max_value=0).map(str),
+    )
+
+
+def _invalid_list(kind, valid):
+    """A comma-separated list of valid entries with one invalid entry."""
+    def join(drawn):
+        entries, bad, at = drawn
+        return ",".join([*entries[:at], bad, *entries[at:]])
+
+    return st.tuples(st.lists(st.sampled_from(valid), max_size=3), _invalid(kind),
+                     st.integers(0, 3)).map(join)
+
+
+def _unknown(choices):
+    return st.text(max_size=12).filter(lambda t: t not in choices)
+
+
+# a valid value of each value-taking flag of each subcommand, --domain aside
+_VALID_FLAGS = {
+    "solve": {"--h-target": "0.2", "--problem": "torsion-neumann"},
+    "verify-identity": {"--h-target": "0.2", "--identity": "general_1_9"},
+    "pointwise-identity": {"--N": "2", "--degree": "2", "--cases": "1"},
+    "spectral": {"--h-target": "0.2"},
+    "sweep": {"--h-target": "0.3", "--mode": "2",
+              "--amplitudes": "0.0125,0.025,0.05,0.1"},
+    "check-bounds": {"--h-target": "0.2"},
+    "strong-deviation": {"--h-target": "0.3", "--mode": "2",
+                         "--amplitudes": "0.025,0.05,0.1"},
+    "convergence": {"--identity": "general_1_9", "--h-list": "0.1,0.2,0.3"},
+}
+_INVALID_VALUES = {
+    "--h-target": _invalid(float),
+    "--amplitudes": _invalid_list(float, ["0.025", "0.05", "0.1"]),
+    "--h-list": _invalid_list(float, ["0.1", "0.2", "0.3"]),
+    "--N": _invalid_list(int, ["2", "3"]),
+    "--degree": _invalid(int),
+    "--cases": _invalid(int),
+    "--mode": _invalid(int),
+    "--identity": _unknown(ANCHORS),
+    "--problem": _unknown(["torsion-dirichlet", "torsion-neumann", "harmonic"]),
+}
+
+
+def _value_flags(command):
+    sub = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {a.option_strings[0] for a in sub.choices[command]._actions if a.nargs != 0}
+
+
+def test_invalid_flag_table_names_every_value_flag():
+    for command, flags in _VALID_FLAGS.items():
+        assert _value_flags(command) - {"--domain"} == set(flags)
+
+
+@pytest.fixture(scope="module")
+def disk_spec_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("invalid-flags")
+    (path / "disk.json").write_text(json.dumps({"rho0": 1.0, "modes": []}))
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_FLAGS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_invalid_flag_values_fail_before_meshing(disk_spec_dir, command, data):
+    valid = _VALID_FLAGS[command]
+    flag = data.draw(st.sampled_from(sorted(valid)))
+    value = data.draw(_INVALID_VALUES[flag])
+    argv = ["--out", str(disk_spec_dir / "r"), command]
+    argv += [f"{f}={value if f == flag else v}" for f, v in valid.items()]
+    if "--domain" in _value_flags(command):
+        argv += ["--domain", str(disk_spec_dir / "disk.json")]
+    meshes = []
+
+    def recording(*args):
+        meshes.append(args)
+        return generate_mesh(*args)
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        for module in (cli, stability):
+            mp.setattr(module, "generate_mesh", recording)
+        code = main(argv)
+    assert code == 1 and meshes == []
+    assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
+
+
 def test_failed_run_writes_manifest(tmp_path, capsys):
     out = tmp_path / "r"
     code = main(["--out", str(out), "pointwise-identity", "--cases", "0"])
@@ -434,6 +540,27 @@ def test_failed_run_writes_manifest(tmp_path, capsys):
     assert manifest["status"] == 1
     assert manifest["command"] == "pointwise-identity"
     assert manifest["error"] in err
+
+
+def test_config_hash_covers_what_the_run_reads(tmp_path, disk_spec):
+    def config_hash(*argv):
+        out = tmp_path / f"r{len(list(tmp_path.iterdir()))}"
+        assert main(["--out", str(out), *argv]) == 0
+        return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+    solve = ["solve", "--domain", disk_spec, "--h-target", "0.2"]
+    assert config_hash("--seed", "0", *solve) == config_hash("--seed", "7", *solve)
+    poly = ["pointwise-identity", "--N", "2", "--degree", "2", "--cases", "1"]
+    assert config_hash("--seed", "0", *poly) != config_hash("--seed", "7", *poly)
+    assert config_hash("--seed", "7", *poly) == config_hash("--seed", "7", *poly)
+    # the subcommands that read --seed are the ones whose hash keeps it
+    sub = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    seeded = {name for name, parser in sub.choices.items()
+              if "args.seed" in inspect.getsource(parser.get_default("func"))}
+    assert seeded == cli.SEEDED
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])

@@ -20,7 +20,7 @@ from conftest import (
 from serrinlab._quadrature import _D4_GROUPS, _D8_GROUPS, triangle_rule
 from serrinlab.errors import MeshTooFine
 from serrinlab.geometry import build_domain
-from serrinlab import meshfem
+from serrinlab import meshfem, stability
 from serrinlab.meshfem import (
     _SPR_REF,
     FemField,
@@ -179,6 +179,8 @@ def test_element_operators_match_einsum(pdisk, ellipse):
     for dom in (pdisk, ellipse):
         mesh = generate_mesh(dom, 0.1)
         coords = mesh.nodes[mesh.triangles]
+        x, y = mesh.nodes.T
+        field = FemField(mesh, np.sin(x) * np.cos(2.0 * y) + x * y)
         for degree, ops in ((4, mesh.element_ops()), (8, degree8_ops(mesh))):
             # reference: the einsum forms at the same quadrature points
             bary, _ = triangle_rule(degree)
@@ -187,7 +189,11 @@ def test_element_operators_match_einsum(pdisk, ellipse):
             grad = np.einsum("qnd,tqdk->tqnk", dN, inv)
             qp = np.einsum("qn,tnk->tqk", N, coords)
             assert _per_element_rel(ops["detJ"], detJ) <= 1e-12
-            assert _per_element_rel(ops["grad"], grad) <= 1e-12
+            if degree == 4:   # the volume rule keeps no gradients
+                want = np.einsum("tqnk,tn->tqk", grad, field.coeffs[mesh.triangles])
+                assert _per_element_rel(field.gradient_at_quad(), want) <= 1e-12
+            else:
+                assert _per_element_rel(ops["grad"], grad) <= 1e-12
             assert _per_element_rel(ops["qp"], qp) <= 1e-12
         Ke = 0.5 * np.einsum(
             "q,tq,tqik,tqjk->tij", ops["w"], ops["detJ"], ops["grad"], ops["grad"]
@@ -251,6 +257,22 @@ def test_stiffness_stores_no_structural_zero(pdisk, ellipse):
                 for i, j in ((rows, cols), (cols, rows)):
                     stored = np.asarray(pattern[i, j]) & ~np.asarray(held[i, j])
                     assert not stored.any()
+
+
+def test_stiffness_is_exactly_symmetric(disk, pdisk, ellipse):
+    # so the CSR arrays of each restriction that _factor takes are also its
+    # CSC arrays: they equal tocsc()'s, and splu reads the same matrix
+    for dom in (disk, pdisk, ellipse):
+        mesh = generate_mesh(dom, 0.1)
+        K = assemble_stiffness(mesh)
+        assert (K != K.T).nnz == 0 and K.has_sorted_indices
+        for keep in (~mesh.boundary_mask, slice(1, None)):
+            A, _ = meshfem._factor(mesh, keep)
+            ref = K[keep][:, keep].tocsc()
+            assert A.format == "csc" and A.shape == ref.shape
+            for got, want in ((A.data, ref.data), (A.indices, ref.indices),
+                              (A.indptr, ref.indptr)):
+                assert np.array_equal(got, want)
 
 
 def test_curved_elements_are_the_boundary_edge_layer(disk, pdisk, ellipse):
@@ -465,6 +487,64 @@ def test_recovery_geometry_built_once_per_mesh(pdisk, monkeypatch):
     for coeffs in (x**2 - y, x * y + 3.0 * y**2):
         FemField(mesh, coeffs).recovered
     assert len(calls) == 1
+
+
+def _cached_arrays(*owners):
+    """The arrays the caches of `owners` (meshes, fields) hold, each once and
+    a view as the array it views.  SuperLU factors, and the meshes and fields
+    that cached values refer to, are not entered."""
+    arrays, seen, stack = {}, set(), [owner._cache for owner in owners]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (Mesh, FemField, spla.SuperLU)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            arrays[id(obj)] = obj
+        elif sp.issparse(obj):
+            stack += [obj.data, obj.indices, obj.indptr]
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return list(arrays.values())
+
+
+@pytest.fixture(scope="module")
+def general_1_9_caches(pdisk):
+    """A mode-2 disk mesh at h=0.1 after identity_reports(mesh, "general_1_9"),
+    and the Dirichlet and Neumann fields that the identity paired."""
+    fields = []
+    evaluate = stability.eval_general_identity
+
+    def recording(u, v):
+        fields.extend((u, v))
+        return evaluate(u, v)
+
+    mesh = generate_mesh(pdisk, 0.1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "eval_general_identity", recording)
+        stability.identity_reports(mesh, "general_1_9")
+    return mesh, fields
+
+
+def test_no_cached_volume_gradients(general_1_9_caches):
+    # the (T,Q,6,2) shape gradients of the volume rule took 20.5 MB at h=0.025
+    mesh, fields = general_1_9_caches
+    assert len(fields) == 2
+    shape = (len(mesh.triangles), len(mesh.element_ops()["w"]), 6, 2)
+    assert all(a.shape != shape for a in _cached_arrays(mesh, *fields))
+
+
+def test_mesh_cache_bytes_per_node(general_1_9_caches):
+    # 546-549 B/node at h = 0.1, 0.05 and 0.025; about 1050 B/node with the
+    # volume gradients and whole-mesh patch offsets cached
+    mesh, _ = general_1_9_caches
+    assert sum(a.nbytes for a in _cached_arrays(mesh)) <= 600 * mesh.n_nodes
 
 
 def test_recover_fallback_two_elements():
