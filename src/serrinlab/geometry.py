@@ -2,15 +2,18 @@
 
 Domains are radial graphs r(theta) about a center point, either a truncated
 Fourier series (StarDomain) or the exact polar form of an ellipse
-(EllipseDomain, used as an independent oracle).  All geometric quantities
-(normal, curvature, measures, distances) come from exact differentiation of
-r(theta) plus adaptive quadrature.
+(EllipseDomain, used as an independent oracle).  A domain provides one
+method, `radius_jet(theta) -> (r, r', r'')`, the exact radius and its first
+two theta-derivatives from one evaluation of its trigonometric terms.  All
+geometric quantities (normal, curvature, measures, distances) come from
+that jet plus adaptive quadrature.
 
 Distances to the boundary start at the nearest boundary sample (k-d tree)
 or at a dense sample's local extrema, and one vectorized Newton routine on
 |gamma(theta) - z|^2 polishes them.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +58,7 @@ class RadialDomain:
     rho0: float
 
     def radius(self, theta):
-        raise NotImplementedError
-
-    def radius_d1(self, theta):
-        raise NotImplementedError
-
-    def radius_d2(self, theta):
-        raise NotImplementedError
+        return self.radius_jet(theta)[0]
 
     # -- derived boundary quantities, vectorized over theta ---------------
 
@@ -74,9 +71,7 @@ class RadialDomain:
     def frame_arrays(self, theta):
         """Return (point, nu, kappa, speed) arrays at the given angles."""
         theta = np.asarray(theta, dtype=float)
-        r = self.radius(theta)
-        r1 = self.radius_d1(theta)
-        r2 = self.radius_d2(theta)
+        r, r1, r2 = self.radius_jet(theta)
         c, s = np.cos(theta), np.sin(theta)
         e = np.stack([c, s], axis=-1)
         eperp = np.stack([-s, c], axis=-1)
@@ -86,16 +81,9 @@ class RadialDomain:
         kappa = (r * r + 2.0 * r1 * r1 - r * r2) / speed**3
         return point, nu, kappa, speed
 
-    def spec_dict(self):
-        raise NotImplementedError
-
-    @property
+    @functools.cached_property
     def measures(self) -> DomainMeasures:
-        cached = getattr(self, "_measures", None)
-        if cached is None:
-            cached = _compute_measures(self)
-            object.__setattr__(self, "_measures", cached)
-        return cached
+        return _compute_measures(self)
 
 
 class StarDomain(RadialDomain):
@@ -113,26 +101,17 @@ class StarDomain(RadialDomain):
         table = np.array(self.fourier, dtype=float).reshape(-1, 3)
         self._k, self._a, self._b = table.T.copy()
 
-    def _trig(self, theta, order):
+    def radius_jet(self, theta):
+        """(r, r', r'') at the given angles."""
         theta = np.asarray(theta, dtype=float)
-        if self._k.size == 0:
-            return np.zeros_like(theta)
-        kt = np.multiply.outer(theta, self._k)
-        kpow = self._k**order
-        if order == 0:
-            return np.cos(kt) @ self._a + np.sin(kt) @ self._b
-        if order == 1:
-            return (-np.sin(kt) * kpow) @ self._a + (np.cos(kt) * kpow) @ self._b
-        return (-np.cos(kt) * kpow) @ self._a + (-np.sin(kt) * kpow) @ self._b
-
-    def radius(self, theta):
-        return self.rho0 * (1.0 + self._trig(theta, 0))
-
-    def radius_d1(self, theta):
-        return self.rho0 * self._trig(theta, 1)
-
-    def radius_d2(self, theta):
-        return self.rho0 * self._trig(theta, 2)
+        kt = np.multiply.outer(theta, self._k)   # no modes: empty sums of 0.0
+        c, s = np.cos(kt), np.sin(kt)
+        k, k2 = self._k, self._k**2
+        return (
+            self.rho0 * (1.0 + (c @ self._a + s @ self._b)),
+            self.rho0 * ((-s * k) @ self._a + (c * k) @ self._b),
+            self.rho0 * ((-c * k2) @ self._a + (-s * k2) @ self._b),
+        )
 
     def spec_dict(self):
         return {
@@ -162,26 +141,19 @@ class EllipseDomain(RadialDomain):
         self.rho0 = float(min(a, b))
         self.center = np.asarray(center, dtype=float)
 
-    def _D(self, theta):
+    def radius_jet(self, theta):
+        """(r, r', r'') at the given angles, through D = r^-2 (ab)^2."""
+        theta = np.asarray(theta, dtype=float)
+        ab, gap = self.a * self.b, self.a**2 - self.b**2
         s = np.sin(theta)
-        return self.b**2 + (self.a**2 - self.b**2) * s * s
-
-    def radius(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.a * self.b / np.sqrt(self._D(theta))
-
-    def radius_d1(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        D = self._D(theta)
-        D1 = (self.a**2 - self.b**2) * np.sin(2.0 * theta)
-        return -0.5 * self.a * self.b * D1 / D**1.5
-
-    def radius_d2(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        D = self._D(theta)
-        D1 = (self.a**2 - self.b**2) * np.sin(2.0 * theta)
-        D2 = 2.0 * (self.a**2 - self.b**2) * np.cos(2.0 * theta)
-        return self.a * self.b * (0.75 * D1 * D1 / D**2.5 - 0.5 * D2 / D**1.5)
+        D = self.b**2 + gap * s * s
+        D1 = gap * np.sin(2.0 * theta)
+        D2 = 2.0 * gap * np.cos(2.0 * theta)
+        return (
+            ab / np.sqrt(D),
+            -0.5 * ab * D1 / D**1.5,
+            ab * (0.75 * D1 * D1 / D**2.5 - 0.5 * D2 / D**1.5),
+        )
 
     def spec_dict(self):
         return {"ellipse": [self.a, self.b], "center": list(self.center)}
@@ -285,9 +257,16 @@ def build_domain(rho0, fourier_modes, center=(0.0, 0.0)) -> StarDomain:
 
 
 def domain_from_spec(spec) -> RadialDomain:
-    """Rebuild a domain from its JSON spec dict."""
+    """Rebuild a domain from its JSON spec dict: keys `rho0`, `modes` and
+    `center` for a star domain, `ellipse` and `center` for an ellipse."""
     if not isinstance(spec, dict):
         raise InvalidSpec(f"domain spec must be a JSON object, got {spec!r}")
+    keys = {"ellipse", "center"} if "ellipse" in spec else {"rho0", "modes", "center"}
+    unknown = sorted(set(spec) - keys, key=str)
+    if unknown:
+        raise InvalidSpec(
+            f"domain spec keys {unknown} are not among {sorted(keys)}"
+        )
     center = spec.get("center", (0.0, 0.0))
     if "ellipse" in spec:
         axes = spec["ellipse"]
@@ -302,14 +281,11 @@ def domain_from_spec(spec) -> RadialDomain:
 
 def _compute_measures(domain) -> DomainMeasures:
     area = periodic_integral(lambda t: 0.5 * domain.radius(t) ** 2)
-    perimeter = periodic_integral(
-        lambda t: np.sqrt(domain.radius(t) ** 2 + domain.radius_d1(t) ** 2)
-    )
+    perimeter = periodic_integral(lambda t: domain.frame_arrays(t)[3])
     R = 2.0 * area / perimeter
 
     theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-    pts = domain.boundary_point(theta)
-    _, nu, kappa, _ = domain.frame_arrays(theta)
+    pts, nu, kappa, _ = domain.frame_arrays(theta)
     r_i = _sphere_radius(pts, nu, kappa)
     return DomainMeasures(area=area, perimeter=perimeter, R=R, r_i=r_i)
 
@@ -358,7 +334,7 @@ def _newton_distance(domain, z, theta, maximize):
     for _ in range(40):
         # angles as a column: r(theta) then rounds as for a single angle
         t = theta[active, None]
-        r, r1, r2 = domain.radius(t), domain.radius_d1(t), domain.radius_d2(t)
+        r, r1, r2 = domain.radius_jet(t)
         c, s = np.cos(t), np.sin(t)
         e, ep = np.hstack([c, s]), np.hstack([-s, c])
         g = domain.center + r * e - z[active]

@@ -329,24 +329,23 @@ def _ring_schedule(r_max, speed_max, h, refine):
 
 
 def _merge_strip(inner_idx, outer_idx):
-    """Conforming triangle strip between two concentric rings.
+    """Conforming triangle strip (n_inner + n_outer, 3) between two
+    concentric rings.
 
-    Deterministic two-pointer angular merge using exact integer comparisons;
-    ties advance the inner ring, which yields the centered 2:1 template and
-    alternating quad splits for aligned rings.
+    Angular merge on exact integer keys: inner step i sits at
+    (i + 1) * n_outer, outer step j at (j + 1) * n_inner, and the steps are
+    taken in key order with ties to the inner ring, which yields the
+    centered 2:1 template and alternating quad splits for aligned rings.  An
+    inner step at (i, j) is the triangle (inner i, outer j, inner i+1), an
+    outer step (inner i, outer j, outer j+1), indices modulo ring size.
     """
     nA, nB = len(inner_idx), len(outer_idx)
-    tris = []
-    i = j = 0
-    while i < nA or j < nB:
-        take_outer = j < nB and (i == nA or (j + 1) * nA < (i + 1) * nB)
-        if take_outer:
-            tris.append((inner_idx[i % nA], outer_idx[j % nB], outer_idx[(j + 1) % nB]))
-            j += 1
-        else:
-            tris.append((inner_idx[i % nA], outer_idx[j % nB], inner_idx[(i + 1) % nA]))
-            i += 1
-    return tris
+    keys = np.concatenate([np.arange(1, nA + 1) * nB, np.arange(1, nB + 1) * nA])
+    outer_step = np.argsort(keys, kind="stable") >= nA
+    j = np.cumsum(outer_step) - outer_step
+    i = np.arange(nA + nB) - j
+    third = np.where(outer_step, outer_idx[(j + 1) % nB], inner_idx[(i + 1) % nA])
+    return np.stack([inner_idx[i % nA], outer_idx[j % nB], third], axis=1)
 
 
 def generate_mesh(domain, h_target):
@@ -364,10 +363,9 @@ def generate_mesh(domain, h_target):
         raise InvalidSpec(f"SERRINLAB_DOF_CAP is not an integer: {text!r}") from None
 
     probe = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    r_max = float(domain.radius(probe).max())
-    speed_max = float(
-        np.sqrt(domain.radius(probe) ** 2 + domain.radius_d1(probe) ** 2).max()
-    )
+    r, r1, _ = domain.radius_jet(probe)
+    r_max = float(r.max())
+    speed_max = float(np.sqrt(r**2 + r1**2).max())
     # lower bound checked before the O(r_max/h) schedule: the outer ring has
     # at least dof_min / 2 vertices, each with a boundary midnode
     dof_min = 2 * (2.0 * math.pi * speed_max * BOUNDARY_REFINE * _HEADROOM / h_target)
@@ -401,11 +399,11 @@ def generate_mesh(domain, h_target):
         next_idx += n
     vertices = np.vstack([verts[0][None, :], *verts[1:]])
 
-    tris = [(0, ring_indices[0][i], ring_indices[0][(i + 1) % n_ring[0]])
-            for i in range(n_ring[0])]
-    for j in range(len(n_ring) - 1):
-        tris.extend(_merge_strip(ring_indices[j], ring_indices[j + 1]))
-    tri_v = np.array(tris, dtype=np.int64)
+    fan = ring_indices[0]
+    tri_v = np.vstack([
+        np.stack([np.zeros_like(fan), fan, np.roll(fan, -1)], axis=1),
+        *(_merge_strip(a, b) for a, b in zip(ring_indices, ring_indices[1:])),
+    ])
 
     # edge midnodes: slots (v1,v2), (v2,v0), (v0,v1) of each triangle, each
     # edge numbered by its first appearance in that element-major order

@@ -334,6 +334,7 @@ def test_missing_domain_file_is_operational_error(tmp_path, capsys, content):
         ({"ellipse": [2, 1], "center": [1e17, 0]}, ["solve", "--h-target", "0.2"]),
         ({"rho0": 1.0, "modes": []},
          ["verify-identity", "--identity", "general_1_9", "--z", "0.1,0.2"]),
+        ({"rho0": 1.0, "mode": [[2, 0.05, 0.0]]}, ["solve", "--h-target", "0.1"]),
     ],
 )
 def test_bad_input_is_operational_error(tmp_path, capsys, monkeypatch, spec, argv):
@@ -341,11 +342,12 @@ def test_bad_input_is_operational_error(tmp_path, capsys, monkeypatch, spec, arg
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         argv = argv + ["--domain", str(path)]
-    meshes = []
+    meshes = []   # the meshes built: generate_mesh may reject its h_target
 
     def recording(*args):
+        mesh = generate_mesh(*args)
         meshes.append(args)
-        return generate_mesh(*args)
+        return mesh
 
     for module in (cli, stability):
         monkeypatch.setattr(module, "generate_mesh", recording)
@@ -355,8 +357,7 @@ def test_bad_input_is_operational_error(tmp_path, capsys, monkeypatch, spec, arg
     manifest = tmp_path / "r" / "manifest.json"
     if manifest.parent.exists():   # the run had started, so it records the failure
         assert json.loads(manifest.read_text())["status"] == 1
-    if "--alpha" in argv or "--z" in argv:
-        assert meshes == []   # a bad exponent or point fails before any mesh is built
+    assert meshes == []   # bad input fails before any mesh is built
 
 
 # valid specs: every star spec has a mode row, and all pass build_domain

@@ -88,11 +88,16 @@ def test_non_finite_spec_rejected(make):
         lambda: domain_from_spec([1.0]),
         lambda: build_domain(1.0, [(2.5, 0.05, 0.0)]),
         lambda: domain_from_spec({"rho0": 1.0, "modes": [[2.5, 0.05, 0]]}),
+        lambda: domain_from_spec({"rho0": 1.0, "mode": [[2, 0.05, 0.0]]}),
+        lambda: domain_from_spec({"rho0": 1.0, "centre": [0.1, 0.0]}),
+        lambda: domain_from_spec({"ellipse": [2, 1], "rho0": 3.0, "modes": [[2, 0.05, 0]]}),
     ],
 )
 def test_wrong_shape_spec_rejected(make):
     # a short mode row or a single semi-axis used to fail in tuple unpacking,
-    # a one-entry center broadcast silently and a mode number 2.5 became 2
+    # a one-entry center broadcast silently and a mode number 2.5 became 2;
+    # an unknown or mixed key (a misspelt "mode", a "centre", an ellipse with
+    # "rho0") used to be ignored
     with pytest.raises(InvalidSpec):
         make()
 
@@ -165,10 +170,44 @@ def test_normal_orthogonal_to_tangent():
     theta = np.linspace(0, 2 * np.pi, 257)
     _, nu, _, _ = d.frame_arrays(theta)
     r = d.radius(theta)
-    r1 = d.radius_d1(theta)
+    r1 = d.radius_jet(theta)[1]
     c, s = np.cos(theta), np.sin(theta)
     tang = np.stack([r1 * c - r * s, r1 * s + r * c], -1)
     assert np.abs(np.einsum("ij,ij->i", nu, tang)).max() < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.7, np.linspace(0.0, 2 * np.pi, 33)],
+                         ids=["scalar", "array"])
+def test_radius_jet(theta):
+    rho0, modes = 1.3, [(2, 0.05, -0.02), (3, 0.01, 0.03)]
+    k, a, b = (np.array(col, dtype=float)[:, None] for col in zip(*modes))
+    kt = k * np.atleast_1d(theta)
+    star = (
+        rho0 * (1 + (a * np.cos(kt) + b * np.sin(kt)).sum(0)),
+        rho0 * (k * (b * np.cos(kt) - a * np.sin(kt))).sum(0),
+        -rho0 * (k**2 * (a * np.cos(kt) + b * np.sin(kt))).sum(0),
+    )
+    A, B = 2.0, 1.0
+    c, s = np.cos(theta), np.sin(theta)
+    D = B**2 * c**2 + A**2 * s**2
+    ellipse = (A * B / np.sqrt(D), -A * B * (A**2 - B**2) * s * c / D**1.5)
+    disk = (1.5, 0.0, 0.0)
+    cases = [
+        (build_domain(rho0, modes), star),
+        (EllipseDomain(A, B), ellipse),
+        (build_domain(1.5, []), disk),
+    ]
+    dt = 1e-5
+    for dom, closed in cases:
+        jet = dom.radius_jet(theta)
+        assert all(np.shape(part) == np.shape(theta) for part in jet)
+        for got, want in zip(jet, closed):
+            assert np.allclose(got, want, rtol=0, atol=1e-14)
+        # central differences of r and r'
+        lo, hi = dom.radius_jet(theta - dt), dom.radius_jet(theta + dt)
+        for order in (0, 1):
+            slope = (hi[order] - lo[order]) / (2 * dt)
+            assert np.allclose(jet[order + 1], slope, rtol=0, atol=1e-8)
 
 
 # -- measures ---------------------------------------------------------------

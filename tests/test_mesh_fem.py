@@ -148,6 +148,42 @@ def test_mesh_numbering_matches_dict_loop(disk, pdisk, ellipse):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
+def _two_pointer_strip(inner_idx, outer_idx):
+    """Reference strip: the two-pointer merge, one triangle per step."""
+    nA, nB = len(inner_idx), len(outer_idx)
+    tris = []
+    i = j = 0
+    while i < nA or j < nB:
+        take_outer = j < nB and (i == nA or (j + 1) * nA < (i + 1) * nB)
+        if take_outer:
+            tris.append((inner_idx[i % nA], outer_idx[j % nB], outer_idx[(j + 1) % nB]))
+            j += 1
+        else:
+            tris.append((inner_idx[i % nA], outer_idx[j % nB], inner_idx[(i + 1) % nA]))
+            i += 1
+    return np.array(tris, dtype=np.int64)
+
+
+def test_strips_match_two_pointer_loop(disk, pdisk, ellipse):
+    pairs = {(6, 6), (6, 12), (24, 24), (24, 48)}
+    probe = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    for dom in (disk, pdisk, ellipse):
+        r, r1, _ = dom.radius_jet(probe)
+        for h in (0.2, 0.1, 0.05):
+            _, counts = meshfem._ring_schedule(
+                r.max(), np.sqrt(r**2 + r1**2).max(), h / meshfem._HEADROOM,
+                meshfem.BOUNDARY_REFINE,
+            )
+            pairs.update(zip(counts, counts[1:]))
+    assert len(pairs) > 4
+    for n_inner, n_outer in sorted(pairs):
+        inner = np.arange(1, n_inner + 1)
+        outer = np.arange(n_inner + 1, n_inner + n_outer + 1)
+        got = meshfem._merge_strip(inner, outer)
+        want = _two_pointer_strip(inner, outer)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n_inner, n_outer)
+
+
 # -- quadrature ----------------------------------------------------------------
 
 
