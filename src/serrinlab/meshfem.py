@@ -756,9 +756,16 @@ def _patch_matrix(mesh):
 
 # -- solvers ----------------------------------------------------------------
 
+def _norm_inf(A):
+    """|A|_inf of a symmetric CSR or CSC matrix with no empty row: the sums of
+    |data| between consecutive indptr entries are its row sums (column sums,
+    equal by symmetry, for CSC), with no copy of the matrix structure."""
+    return float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
+
+
 def _check_residual(A, x, b, label):
     """Normwise backward error |Ax-b| / (|A|_inf |x| + |b|) must be <= 1e-12."""
-    norm_a = float(abs(A).sum(axis=1).max())
+    norm_a = _norm_inf(A)
     rel = np.linalg.norm(A @ x - b) / (norm_a * np.linalg.norm(x) + np.linalg.norm(b))
     if rel > 1e-12:
         raise SolverFailure(f"{label}: relative residual {rel:.3e} > 1e-12")

@@ -3,12 +3,16 @@
 Polynomials carry rational coefficients indexed by exponent multi-indices,
 stored as integer numerators over one common denominator per polynomial, so
 products and sums run on ints and a Fraction is built only for a value or a
-view of the coefficients.  All differentiation and expansion is symbolic, so
-a zero residual is a proof of the identity on the generated inputs,
-independent of every floating-point module.  The boundary maximum enters the
-identity affinely and is kept as a free symbol (one extra variable slot),
-which covers every possible value at once; rational spot evaluations are
-reported alongside.
+view of the coefficients.  Each monomial is one packed int: exponent i fills
+the EXP_BITS-wide field at bit EXP_BITS*i, so multiplying monomials adds
+their keys.  Every exponent must be an int in [0, 2**EXP_BITS), and a
+product whose exponent bound would reach 2**EXP_BITS raises InvalidSpec, so
+no field ever carries into the next.  All differentiation and expansion is
+symbolic, so a zero residual is a proof of the identity on the generated
+inputs, independent of every floating-point module.  The boundary maximum
+enters the identity affinely and is kept as a free symbol (one extra
+variable slot), which covers every possible value at once; rational spot
+evaluations are reported alongside.
 """
 
 import random
@@ -16,56 +20,79 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add
 
 from .errors import InvalidSpec, NotTorsionPolynomial
 
 HALF = Fraction(1, 2)
+# bits per exponent field of a packed monomial key
+EXP_BITS = 16
+EXP_MASK = (1 << EXP_BITS) - 1
 
 
 class Polynomial:
     """Multivariate polynomial over exact rationals.
 
-    The coefficients are integer numerators num (exponent tuples of length
-    nvars to nonzero ints) over one common denominator den.  The form is
-    canonical: den >= 1 and gcd(den, every numerator) = 1, so equal
-    polynomials have equal (num, den).  The spatial dimension N may be
-    smaller than nvars; differential operators act on the first N slots only
-    (extra slots hold free symbols).
+    The coefficients are integer numerators _num (packed monomial keys to
+    nonzero ints) over one common denominator den, and top bounds every
+    exponent from above.  The form is canonical: den >= 1 and gcd(den, every
+    numerator) = 1, so equal polynomials have equal (_num, den).
+    The spatial dimension N may be smaller than nvars; differential operators
+    act on the first N slots only (extra slots hold free symbols).
     """
 
-    __slots__ = ("nvars", "num", "den")
+    __slots__ = ("nvars", "_num", "den", "top")
 
     def __init__(self, nvars, terms=None):
         coeffs = {}
+        top = 0
         for mono, c in (terms or {}).items():
             mono = tuple(mono)
             if len(mono) != nvars:
                 raise InvalidSpec(
                     f"monomial {mono} has {len(mono)} exponents, expected {nvars}"
                 )
+            key = 0
+            for i, p in enumerate(mono):
+                if type(p) is not int or not 0 <= p <= EXP_MASK:
+                    raise InvalidSpec(
+                        f"monomial {mono}: exponent {p!r} is not an int in "
+                        f"[0, 2**{EXP_BITS})"
+                    )
+                key |= p << (EXP_BITS * i)
+                top = max(top, p)
             c = Fraction(c)
             if c:
-                coeffs[mono] = c
+                coeffs[key] = c
         # over the lcm of the denominators no prime divides den and every
         # numerator, so the result is already canonical
         den = lcm(*(c.denominator for c in coeffs.values()))
         self.nvars = nvars
-        self.num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        self._num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
         self.den = den
+        self.top = top
 
     @classmethod
-    def _adopt(cls, nvars, num, den):
-        """Wrap numerators and a denominator already in canonical form, uncopied."""
+    def _adopt(cls, nvars, num, den, top):
+        """Wrap packed numerators and a denominator already in canonical form,
+        uncopied."""
         p = object.__new__(cls)
         p.nvars = nvars
-        p.num = num
+        p._num = num
         p.den = den
+        p.top = top
         return p
 
     @classmethod
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
+
+    @property
+    def num(self):
+        """Read-only view of the numerators as {exponent tuple: int}."""
+        shifts = [EXP_BITS * i for i in range(self.nvars)]
+        return {
+            tuple((m >> s) & EXP_MASK for s in shifts): c for m, c in self._num.items()
+        }
 
     @property
     def terms(self):
@@ -84,7 +111,7 @@ class Polynomial:
 
     def __neg__(self):
         return Polynomial._adopt(
-            self.nvars, {m: -c for m, c in self.num.items()}, self.den
+            self.nvars, {m: -c for m, c in self._num.items()}, self.den, self.top
         )
 
     def __sub__(self, other):
@@ -96,26 +123,33 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = Fraction(other)
-            num = {m: c.numerator * v for m, v in self.num.items()}
-            return _normalized(self.nvars, num, self.den * c.denominator)
+            num = {m: c.numerator * v for m, v in self._num.items()}
+            return _normalized(self.nvars, num, self.den * c.denominator, self.top)
+        top = self.top + other.top
+        if top > EXP_MASK:
+            raise InvalidSpec(
+                f"product exponent bound {top} does not fit in {EXP_BITS} bits"
+            )
         out = {}
-        for m1, c1 in self.num.items():
-            for m2, c2 in other.num.items():
-                mono = tuple(map(add, m1, m2))
+        for m1, c1 in self._num.items():
+            for m2, c2 in other._num.items():
+                mono = m1 + m2
                 c = c1 * c2
                 out[mono] = out[mono] + c if mono in out else c
-        return _normalized(self.nvars, out, self.den * other.den)
+        return _normalized(self.nvars, out, self.den * other.den, top)
 
     __rmul__ = __mul__
 
     def diff(self, var):
+        shift = EXP_BITS * var
+        unit = 1 << shift
         out = {}
-        for mono, c in self.num.items():
-            p = mono[var]
+        for mono, c in self._num.items():
+            p = (mono >> shift) & EXP_MASK
             if p:
-                out[mono[:var] + (p - 1,) + mono[var + 1:]] = c * p
+                out[mono - unit] = c * p
         # the exponent p may share a factor with den
-        return _normalized(self.nvars, out, self.den)
+        return _normalized(self.nvars, out, self.den, self.top)
 
     def gradient(self, ndim):
         return [self.diff(i) for i in range(ndim)]
@@ -130,42 +164,41 @@ class Polynomial:
                 f"expected {self.nvars}"
             )
         xs = [Fraction(x) for x in point]
-        tops = [max(col) for col in zip(*self.num)] or [0] * self.nvars
-        # with x = a/b and t the top exponent of x, x^k = a^k b^(t-k) / b^t:
+        t = self.top
+        # with x = a/b and t >= every exponent, x^k = a^k b^(t-k) / b^t:
         # every term is an integer over den * prod b^t
         tables = [
             [x.numerator ** k * x.denominator ** (t - k) for k in range(t + 1)]
-            for x, t in zip(xs, tops)
+            for x in xs
         ]
         total = 0
-        for mono, c in self.num.items():
-            for tab, p in zip(tables, mono):
-                c *= tab[p]
+        for mono, c in self._num.items():
+            for tab in tables:
+                c *= tab[mono & EXP_MASK]
+                mono >>= EXP_BITS
             total += c
-        scale = self.den * prod(x.denominator ** t for x, t in zip(xs, tops))
+        scale = self.den * prod(x.denominator for x in xs) ** t
         return Fraction(total, scale)
 
     def is_zero(self):
-        return not self.num
+        return not self._num
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return (self.nvars, self.den, self.num) == (
-                other.nvars, other.den, other.num
+            return (self.nvars, self.den, self._num) == (
+                other.nvars, other.den, other._num
             )
         return self.is_zero() if other == 0 else NotImplemented
 
     def pad(self, nvars):
-        """Embed into a larger variable count (extra exponents zero)."""
+        """Embed into a larger variable count (extra exponents zero).  The
+        extra fields sit above the old ones, so every key stays as it is."""
         if nvars == self.nvars:
             return self
-        tail = (0,) * (nvars - self.nvars)
-        return Polynomial._adopt(
-            nvars, {m + tail: c for m, c in self.num.items()}, self.den
-        )
+        return Polynomial._adopt(nvars, self._num, self.den, self.top)
 
     def __repr__(self):
-        if not self.num:
+        if not self._num:
             return "0"
         bits = []
         for mono, c in sorted(self.terms.items()):
@@ -176,7 +209,7 @@ class Polynomial:
         return " + ".join(bits)
 
 
-def _normalized(nvars, num, den):
+def _normalized(nvars, num, den, top):
     """Polynomial of integer numerators over den, with cancelled terms dropped
     and the common factor of den and the numerators divided out."""
     if 0 in num.values():
@@ -185,9 +218,11 @@ def _normalized(nvars, num, den):
     for c in num.values():
         g = gcd(g, c)
         if g == 1:
-            return Polynomial._adopt(nvars, num, den)
+            return Polynomial._adopt(nvars, num, den, top)
     # g == den when no term is left, which gives the zero polynomial over 1
-    return Polynomial._adopt(nvars, {m: c // g for m, c in num.items()}, den // g)
+    return Polynomial._adopt(
+        nvars, {m: c // g for m, c in num.items()}, den // g, top
+    )
 
 
 def _sum(nvars, polys):
@@ -196,10 +231,10 @@ def _sum(nvars, polys):
     out = {}
     for p in polys:
         scale = den // p.den
-        for mono, c in p.num.items():
+        for mono, c in p._num.items():
             c *= scale
             out[mono] = out[mono] + c if mono in out else c
-    return _normalized(nvars, out, den)
+    return _normalized(nvars, out, den, max(p.top for p in polys))
 
 
 def divergence(field_components, ndim):

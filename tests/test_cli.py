@@ -179,25 +179,35 @@ def test_pointwise_identity(tmp_path, capsys):
     assert all("zero_residual=True" in ln for ln in lines)
 
 
-# sha256 of the pointwise_identity.csv written by the rational-coefficient
-# implementation, which the integer-numerator one must reproduce byte for byte
+# sha256 of the pointwise_identity.csv of --N 2,3,4,5 --cases 20 per seed,
+# written by the rational-coefficient implementation, which the packed-key
+# integer-numerator one reproduces byte for byte; the wide rings (seed 0,
+# --N 6,7,8 --cases 3) are pinned from the tuple-keyed integer-numerator one
 POINTWISE_CSV_SHA256 = {
     0: "8f819dff42a4fe09e8150ac17ec28a44cb47d23a90191372ee3242daf84e3fad",
     1: "02a678a1e00f07b65f9bb488c815434f115fa418928818c1fbc8a1259e92ee31",
     2: "98163f18c814abfc1f65ac845cbaf023fa719108b504a874ce57ac644bb5913c",
 }
+POINTWISE_WIDE_CSV_SHA256 = (
+    "fbbf3f2e900dbf3dca3747c8cc4343a3bb3d1ba6498759ae9a4340d70de34e54"
+)
 
 
-@pytest.mark.parametrize("seed", sorted(POINTWISE_CSV_SHA256))
-def test_pointwise_identity_csv_pinned(tmp_path, capsys, seed):
+@pytest.mark.parametrize(
+    "seed,dims,cases,digest",
+    [(seed, "2,3,4,5", 20, h) for seed, h in sorted(POINTWISE_CSV_SHA256.items())]
+    + [(0, "6,7,8", 3, POINTWISE_WIDE_CSV_SHA256)],
+    ids=[*map(str, sorted(POINTWISE_CSV_SHA256)), "wide"],
+)
+def test_pointwise_identity_csv_pinned(tmp_path, capsys, seed, dims, cases, digest):
     out = tmp_path / "run"
     code = main(
         ["--out", str(out), "--seed", str(seed), "pointwise-identity",
-         "--N", "2,3,4,5", "--degree", "4", "--cases", "20"]
+         "--N", dims, "--degree", "4", "--cases", str(cases)]
     )
     assert code == 0
     data = (out / "pointwise_identity.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == POINTWISE_CSV_SHA256[seed]
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_spectral_command(tmp_path, disk_spec):

@@ -311,6 +311,17 @@ def test_stiffness_is_exactly_symmetric(disk, pdisk, ellipse):
                 assert np.array_equal(got, want)
 
 
+def test_norm_inf_reads_the_stored_entries(disk_mesh, pdisk_mesh, ellipse_mesh):
+    # the |A|_inf of each backward-error check: the full K (CSR) after a
+    # Neumann solve and the interior restriction (CSC) after a Dirichlet one
+    for mesh in (disk_mesh, pdisk_mesh, ellipse_mesh):
+        K = assemble_stiffness(mesh)
+        interior = ~mesh.boundary_mask
+        for A in (K, K[interior][:, interior].tocsc()):
+            want = abs(A).sum(axis=1).max()
+            assert abs(meshfem._norm_inf(A) - want) <= 1e-15 * want
+
+
 def test_curved_elements_are_the_boundary_edge_layer(disk, pdisk, ellipse):
     # the closed-form assembly is exact only where the map is affine
     for dom in (disk, pdisk, ellipse):

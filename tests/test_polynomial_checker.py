@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from serrinlab.errors import InvalidSpec, NotTorsionPolynomial
 from serrinlab.polycheck import (
+    EXP_BITS,
+    EXP_MASK,
     Polynomial,
     check_differential_identity,
     check_pfunction_identity,
@@ -226,3 +228,70 @@ def test_evaluate_rejects_long_point():
 def test_rejects_monomial_of_wrong_length():
     with pytest.raises(InvalidSpec):
         Polynomial(2, {(1, 0, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "mono", [(-1, 0), (1.5, 0), (True, 0), (0, 1 << EXP_BITS)],
+    ids=["negative", "non-integer", "bool", "too-wide"],
+)
+def test_rejects_invalid_exponent(mono):
+    # a negative exponent would borrow from the next packed field
+    with pytest.raises(InvalidSpec):
+        Polynomial(2, {mono: 1})
+
+
+def test_product_exponent_bound():
+    half = 1 << (EXP_BITS - 1)
+    p = Polynomial(2, {(half, 0): 1}) * Polynomial(2, {(half - 1, 0): 1})
+    assert p.terms == {(EXP_MASK, 0): 1}
+    # one more would carry into the field of the next variable
+    with pytest.raises(InvalidSpec):
+        p * Polynomial(2, {(1, 0): 1})
+
+
+def _reference_product(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(x + y for x, y in zip(m1, m2, strict=True))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _reference_sum(a, b):
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out.get(mono, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _reference_diff(a, i):
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in a.items() if m[i]}
+
+
+@st.composite
+def _expansion_case(draw):
+    """Two polynomials as {exponent tuple: coefficient}, in 1-3 variables or
+    in the 31 of a wide ring; exponents near half the field width make the
+    product fill its fields up to the top bit."""
+    nvars = draw(st.sampled_from([1, 2, 3, 31]))
+    exp = st.one_of(st.integers(0, 3), st.integers(EXP_MASK // 2 - 2, EXP_MASK // 2))
+    poly = st.dictionaries(st.tuples(*[exp] * nvars), _coef, max_size=5)
+    return nvars, draw(poly), draw(poly)
+
+
+@settings(max_examples=60)
+@given(_expansion_case())
+def test_expansion_matches_tuple_reference(case):
+    nvars, a, b = case
+    p, q = Polynomial(nvars, a), Polynomial(nvars, b)
+    a = {m: c for m, c in a.items() if c}
+    b = {m: c for m, c in b.items() if c}
+    assert (p.terms, q.terms) == (a, b)
+    assert (p * q).terms == _reference_product(a, b)
+    assert (p + q).terms == _reference_sum(a, b)
+    for i in range(nvars):
+        assert p.diff(i).terms == _reference_diff(a, i)
+    padded = p.pad(nvars + 1)
+    assert padded.terms == {m + (0,): c for m, c in a.items()}
+    assert padded.diff(nvars).is_zero()
