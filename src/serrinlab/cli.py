@@ -142,13 +142,12 @@ def _fmt(v):
 
 def _numbers(text, flag, kind):
     """Comma-separated finite numbers of a CLI flag, as a list of `kind`."""
-    try:
+    # ValueError: not a number; OverflowError: an int beyond the float range
+    with contextlib.suppress(ValueError, OverflowError):
         values = [kind(t) for t in text.split(",")]
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        raise InvalidSpec(f"{flag} needs comma-separated finite numbers, got {text!r}")
-    return values
+        if np.isfinite(np.array(values, dtype=float)).all():
+            return values
+    raise InvalidSpec(f"{flag} needs comma-separated finite numbers, got {text!r}")
 
 
 def _positive_float(text):
@@ -326,8 +325,7 @@ def cmd_strong_deviation(args, run):
     rows = []
     for eps in amplitudes:
         mesh = generate_mesh(family_domain(args.mode, eps), args.h_target)
-        rep = strong_deviation_pipeline(solve_torsion_neumann(mesh))
-        rows.append((eps, rep))
+        rows.append((eps, strong_deviation_pipeline(mesh)))
     header = [
         "epsilon", "flux_deviation_l2", "flux_deviation_c0alpha",
         "trace_deviation_c1alpha", "ratio",
@@ -335,15 +333,9 @@ def cmd_strong_deviation(args, run):
     run.write_csv(
         "strong_deviation.csv",
         header,
-        [
-            [e, r.flux_deviation_l2, r.flux_deviation_c0alpha,
-             r.trace_deviation_c1alpha, r.ratio]
-            for e, r in rows
-        ],
+        [[e, *(getattr(r, name) for name in header[1:])] for e, r in rows],
     )
-    slope, _, _ = loglog_fit(
-        [e for e, _ in rows], [r.flux_deviation_l2 for _, r in rows]
-    )
+    slope, _, _ = loglog_fit(amplitudes, [r.flux_deviation_l2 for _, r in rows])
     ratios = [r.ratio for _, r in rows if np.isfinite(r.ratio)]
     spread = max(ratios) / min(ratios) if ratios else float("inf")
     run.write_json(
@@ -427,7 +419,8 @@ def build_parser():
     common(sp)
     sp.set_defaults(func=cmd_check_bounds)
 
-    sp = sub.add_parser("strong-deviation", help="harmonic-split pipeline")
+    sp = sub.add_parser("strong-deviation", help="flux deviation of u_D against "
+                        "the C^{1,alpha} trace deviation of u_N")
     common(sp, domain=False)
     sp.add_argument("--mode", type=int, default=2)
     sp.add_argument("--amplitudes", required=True)

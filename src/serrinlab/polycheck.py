@@ -27,6 +27,9 @@ HALF = Fraction(1, 2)
 # bits per exponent field of a packed monomial key
 EXP_BITS = 16
 EXP_MASK = (1 << EXP_BITS) - 1
+# the most monomials of degree <= d in N variables, C(N + d, d), a random case
+# may span: N = 8, d = 4 spans 495; N = 2, d = 30 (496) is the slowest accepted
+MAX_RING_SIZE = 500
 
 
 class Polynomial:
@@ -344,14 +347,23 @@ def quadratic_core(ndim):
     )
 
 
+def check_ring(ndim, degree):
+    """Raise InvalidSpec unless N = ndim and degree are at least 2 and their
+    ring spans at most MAX_RING_SIZE monomials, C(N + degree, degree)."""
+    # that count exceeds N and degree, so comb only sees small ints
+    if not (2 <= min(ndim, degree) and max(ndim, degree) < MAX_RING_SIZE
+            and comb(ndim + degree, degree) <= MAX_RING_SIZE):
+        raise InvalidSpec(f"need N, degree >= 2 and C(N + degree, degree) <= "
+                          f"{MAX_RING_SIZE}, got N = {ndim} and degree {degree}")
+
+
 def random_torsion_polynomial(ndim, degree, seed) -> Polynomial:
     """|x|^2/2 plus a random harmonic polynomial with degrees 1..degree.
 
     Sparse rational coefficients, deterministic in the seed; the symbolic
     Laplacian is verified to equal the dimension before returning.
     """
-    if ndim < 2 or degree < 2:
-        raise InvalidSpec(f"need ndim >= 2 and degree >= 2, got {ndim} and {degree}")
+    check_ring(ndim, degree)
     rng = random.Random(f"torsion|{seed}|{ndim}|{degree}")
     u = quadratic_core(ndim)
     for d in range(1, degree + 1):
@@ -471,6 +483,8 @@ def identity_case_table(dims, degree, cases, seed0=0):
     """Pass/fail rows for the CLI: both symbolic identities per random pair."""
     if cases < 1:
         raise InvalidSpec(f"need at least one case per dimension, got {cases}")
+    for ndim in dims:
+        check_ring(ndim, degree)
     rows = []
     for ndim in dims:
         for case in range(cases):

@@ -39,13 +39,11 @@ from .identities import (
     weighted_volume,
 )
 from .meshfem import (
-    FemField,
     _memo,
     eval_gradient,
     generate_mesh,
     neumann_flux,
     quad_integral,
-    solve_harmonic_dirichlet,
     solve_torsion_dirichlet,
     solve_torsion_neumann,
 )
@@ -230,7 +228,7 @@ def oscillation_bound_check(u_field) -> OscillationBoundReport:
     GRAD_TOL.  Ratios are reported raw; sweeps assert their boundedness,
     not paper constants.
     """
-    audit_neumann(u_field)
+    dev = deviations(u_field)   # audits the constant flux first
     mesh = u_field.mesh
     res = argmin_point(u_field)
     z = res.z
@@ -247,7 +245,6 @@ def oscillation_bound_check(u_field) -> OscillationBoundReport:
     W = float(np.sqrt(quad_integral(mesh, _quad_distances(mesh) * hess_sq)))
     V = weighted_volume(u_field, hess_sq)
 
-    dev = deviations(u_field)
     rigid = W <= 1e-8 or dev.tangential_norm <= 1e-10
     lemma51 = 0.0 if rigid else osc_h / W
     lemma53 = 0.0 if rigid else V / (
@@ -448,35 +445,30 @@ class StrongDeviationReport:
     flux_deviation_c0alpha: float
     trace_deviation_c1alpha: float
     ratio: float
-    trace_residual: float
     laplacian_residual: float
 
 
-def strong_deviation_pipeline(u_field) -> StrongDeviationReport:
-    """Auxiliary constant-trace field f = u - w and its flux deviation.
+def strong_deviation_pipeline(mesh) -> StrongDeviationReport:
+    """Flux deviation of the Dirichlet solution f against the strong
+    (C^{1,alpha}) boundary deviation of the Neumann solution u on one mesh.
 
-    w is the harmonic extension of the trace of u, so f solves the
-    constant-source problem with zero trace; the flux deviation R - f_nu is
-    controlled by the strong (C^{1,alpha}) boundary deviation of u, and the
-    reported ratio must stay bounded across a perturbation sweep.
+    f is u minus the harmonic extension of the trace of u; on the mesh both
+    fields solve the same interior rows, so f is the zero-trace solve.  Its
+    flux deviation R - f_nu is controlled by the C^{1,alpha} deviation of u,
+    and the reported ratio must stay bounded across a perturbation sweep.
     """
-    audit_neumann(u_field)
-    mesh = u_field.mesh
-    w = solve_harmonic_dirichlet(mesh, u_field.trace_values())
-    f = FemField(mesh, u_field.coeffs - w.coeffs, kind="generic")
-    trace_res = float(np.abs(f.trace_values()).max())
+    f = solve_torsion_dirichlet(mesh)
     lap_res = audit_torsion(f)
     dev = neumann_flux(mesh) - normal_derivative(f)
     flux_l2 = math.sqrt(surface_integral(mesh, dev**2))
     hol = holder_seminorm(mesh, dev, HOLDER_ALPHA)
     flux_c0 = float(np.abs(dev).max()) + hol
-    u_c1 = deviations(u_field).c1alpha_norm
+    u_c1 = deviations(solve_torsion_neumann(mesh)).c1alpha_norm
     ratio = flux_c0 / u_c1 if u_c1 > 0 else float("inf")
     return StrongDeviationReport(
         flux_deviation_l2=flux_l2,
         flux_deviation_c0alpha=flux_c0,
         trace_deviation_c1alpha=u_c1,
         ratio=ratio,
-        trace_residual=trace_res,
         laplacian_residual=lap_res,
     )

@@ -184,14 +184,13 @@ def test_criterion_6_stability_sweep():
 
 
 def test_criterion_7_strong_deviation_pipeline():
-    with criterion(7, "harmonic-split pipeline over the sweep", 300):
+    label = "Dirichlet flux deviation against Neumann C^{1,alpha} trace deviation"
+    with criterion(7, label, 300):
         eps_grid = (0.0125, 0.025, 0.05, 0.1)
         flux, ratios = [], []
         for eps in eps_grid:
             dom = build_domain(1.0, [(2, eps, 0.0)])
-            u = solve_torsion_neumann(generate_mesh(dom, 0.05))
-            rep = strong_deviation_pipeline(u)
-            assert rep.trace_residual <= 1e-10
+            rep = strong_deviation_pipeline(generate_mesh(dom, 0.05))
             flux.append(rep.flux_deviation_l2)
             ratios.append(rep.ratio)
         slope, _, _ = loglog_fit(eps_grid, flux)

@@ -7,6 +7,7 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -368,6 +369,36 @@ def test_bad_input_is_operational_error(tmp_path, capsys, monkeypatch, spec, arg
     if manifest.parent.exists():   # the run had started, so it records the failure
         assert json.loads(manifest.read_text())["status"] == 1
     assert meshes == []   # bad input fails before any mesh is built
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--N", "100000000000000000000000"],
+        ["--N", "1000000", "--degree", "2", "--cases", "1"],
+        ["--degree", "100000"],
+    ],
+    ids=["huge-dimension", "ring-of-dimension", "ring-of-degree"],
+)
+def test_pointwise_ring_beyond_cap_fails_fast(tmp_path, argv):
+    """Rings beyond the cap are rejected before any polynomial is built.
+    Without that they crash, exhaust memory or run for minutes, so each runs
+    in a fresh interpreter with 1 GiB of address space and a timeout."""
+    src = str(Path(serrinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-m", "serrinlab.cli", "--out", str(tmp_path / "r"),
+         "pointwise-identity", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=_one_gib_address_space,
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
 
 
 # valid specs: every star spec has a mode row, and all pass build_domain

@@ -714,6 +714,11 @@ def test_harmonic_strong_form_audit(pdisk_neumann):
     w = solve_harmonic_dirichlet(pdisk_neumann.mesh, pdisk_neumann.trace_values())
     H = w.recovered.hessian
     assert np.abs(H[:, 0] + H[:, 1]).mean() < 1e-2
+    # u_N - w has zero trace and the interior rows of the Dirichlet torsion
+    # solve, so on the mesh it is u_D up to roundoff
+    u_d = solve_torsion_dirichlet(pdisk_neumann.mesh).coeffs
+    gap = np.abs(pdisk_neumann.coeffs - w.coeffs - u_d).max()
+    assert gap <= 1e-10 * np.abs(u_d).max()
 
 
 def test_ball_rigidity_volume_integral(disk_dirichlet):

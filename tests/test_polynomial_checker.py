@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrinlab import polycheck
 from serrinlab.errors import InvalidSpec, NotTorsionPolynomial
 from serrinlab.polycheck import (
     EXP_BITS,
@@ -12,8 +13,10 @@ from serrinlab.polycheck import (
     Polynomial,
     check_differential_identity,
     check_pfunction_identity,
+    check_ring,
     delta_p,
     harmonic_basis,
+    identity_case_table,
     quadratic_core,
     random_rational_points,
     random_torsion_polynomial,
@@ -50,6 +53,16 @@ def test_harmonic_basis_dimension_count(ndim, degree):
 def test_random_torsion_laplacian(ndim, degree, seed):
     u = random_torsion_polynomial(ndim, degree, seed)
     assert (u.laplacian(ndim) - ndim).is_zero()
+
+
+def test_ring_beyond_cap_is_rejected_before_any_polynomial(monkeypatch):
+    built = []
+    monkeypatch.setattr(polycheck, "random_torsion_polynomial",
+                        lambda *args: built.append(args))
+    with pytest.raises(InvalidSpec):
+        identity_case_table([2, 9], 4, 1)   # C(13, 4) = 715 monomials at N = 9
+    assert built == []
+    check_ring(8, 4)   # C(12, 4) = 495, the largest ring the README runs
 
 
 def test_pfunction_identity_paraboloid():

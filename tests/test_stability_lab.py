@@ -15,8 +15,8 @@ from serrinlab.meshfem import FemField, generate_mesh, solve_torsion_neumann
 from serrinlab.stability import (
     argmin_point,
     deviations,
+    family_domain,
     geometric_bounds_check,
-    loglog_fit,
     oscillation_bound_check,
     stability_sweep,
     strong_deviation_pipeline,
@@ -307,22 +307,33 @@ def test_mode3_sweep_slope():
 # -- strong-deviation pipeline -----------------------------------------------------------
 
 
-def test_strong_deviation_disk(disk_neumann):
-    rep = strong_deviation_pipeline(disk_neumann)
-    assert rep.trace_residual <= 1e-10
+def test_strong_deviation_disk(disk_mesh):
+    rep = strong_deviation_pipeline(disk_mesh)
     assert rep.laplacian_residual <= 0.5
     assert rep.flux_deviation_l2 <= 1e-5
 
 
 def test_strong_deviation_perturbed_scaling():
-    vals = []
-    eps_grid = (0.025, 0.05, 0.1)
-    for eps in eps_grid:
-        dom = build_domain(1.0, [(2, eps, 0.0)])
-        u = solve_torsion_neumann(generate_mesh(dom, 0.1))
-        vals.append(strong_deviation_pipeline(u).flux_deviation_l2)
-    slope, _, _ = loglog_fit(eps_grid, vals)
-    assert abs(slope - 1.0) <= 0.2
+    # first-order oracle on r = 1 + eps cos(k theta): the flux deviation is
+    # eps (k - 1) cos(k theta) + O(eps^2), so its L2 norm is eps (k - 1) sqrt(pi);
+    # mode 1 translates the disk to first order, so there it is O(eps^2)
+    amplitudes = (0.02, 0.01)
+    for k in (1, 2, 3, 4):
+        flux = [
+            strong_deviation_pipeline(
+                generate_mesh(family_domain(k, eps), 0.1)
+            ).flux_deviation_l2
+            for eps in amplitudes
+        ]
+        if k == 1:
+            per_eps = [f / eps for f, eps in zip(flux, amplitudes)]
+            assert per_eps[1] / per_eps[0] == pytest.approx(0.5, rel=0.01)
+            continue
+        err = [
+            abs(f / (eps * (k - 1) * math.sqrt(math.pi)) - 1)
+            for f, eps in zip(flux, amplitudes)
+        ]
+        assert err[0] <= 0.01 and err[1] < err[0]
 
 
 def test_lemma53_ratio_bounded_across_sweep():
