@@ -30,6 +30,9 @@ EXP_MASK = (1 << EXP_BITS) - 1
 # the most monomials of degree <= d in N variables, C(N + d, d), a random case
 # may span: N = 8, d = 4 spans 495; N = 2, d = 30 (496) is the slowest accepted
 MAX_RING_SIZE = 500
+# the most rows (dimensions x cases) one case table may hold; at most 10_000,
+# the offset of the v seeds, so that no u seed is also a v seed
+MAX_CASES = 10_000
 
 
 class Polynomial:
@@ -254,7 +257,8 @@ def dot(a, b):
 # -- harmonic bases ----------------------------------------------------------------
 
 def _monomials(ndim, degree):
-    """Exponent tuples of total degree == degree, lexicographic order."""
+    """Exponent tuples of total degree == degree, by descending first
+    exponent, then recursively the same on the remaining ones."""
     if ndim == 1:
         return [(degree,)]
     out = []
@@ -265,73 +269,32 @@ def _monomials(ndim, degree):
 
 @cache
 def harmonic_basis(ndim, degree):
-    """Basis of homogeneous harmonic polynomials of the given degree.
+    """Basis of homogeneous harmonic polynomials of the given degree, N >= 2.
 
-    In the plane these are the real and imaginary parts of (x + i y)^d; in
-    higher dimension the exact rational kernel of the Laplacian acting on
-    homogeneous monomials.  Computed once per (ndim, degree).
+    One element per monomial x^a of that degree with a_1 <= 1:
+
+      h_a = sum_{j >= 0} (-1)^j a_1!/(a_1 + 2j)! x_1^(2j) L^j x^a,
+
+    where L is the Laplacian in x_2..x_N; the sum ends once L^j x^a is 0.
+    Since a_1 <= 1, d^2/dx_1^2 kills the j = 0 term and maps term j + 1 onto
+    minus L of term j, so the Laplacian of h_a telescopes to zero.  x^a is
+    the only term of h_a whose x_1-exponent is at most 1, so the h_a are
+    independent, and there are C(N+d-1, d) - C(N+d-3, d-2) of them, the
+    dimension of the space.  Computed once per (ndim, degree).
     """
-    if degree == 0:
-        return (Polynomial.constant(ndim, 1),)
-    if ndim == 2:
-        re, im = {}, {}
-        for k in range(degree + 1):
-            # C(d, k) x^(d-k) (i y)^k, and i^k runs through 1, i, -1, -i
-            (im if k % 2 else re)[(degree - k, k)] = comb(degree, k) * (-1) ** (k // 2)
-        return (Polynomial(2, re), Polynomial(2, im))
-    monos = _monomials(ndim, degree)
-    target = _monomials(ndim, degree - 2) if degree >= 2 else []
-    if not target:
-        return tuple(Polynomial(ndim, {m: 1}) for m in monos)
-    row_of = {m: i for i, m in enumerate(target)}
-    cols = [
-        {
-            row_of[m[:i] + (m[i] - 2,) + m[i + 1:]]: Fraction(m[i] * (m[i] - 1))
-            for i in range(ndim)
-            if m[i] >= 2
-        }
-        for m in monos
-    ]
-    kernel = _rational_kernel(cols, len(target))
-    return tuple(
-        Polynomial(ndim, {m: c for m, c in zip(monos, vec) if c}) for vec in kernel
-    )
-
-
-def _rational_kernel(cols, nrows):
-    """Exact kernel basis of the matrix given column-wise as sparse dicts."""
-    ncols = len(cols)
-    dense = [[cols[j].get(i, Fraction(0)) for j in range(ncols)] for i in range(nrows)]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if dense[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        dense[r], dense[pivot] = dense[pivot], dense[r]
-        pv = dense[r][c]
-        dense[r] = [x / pv for x in dense[r]]
-        for i in range(nrows):
-            if i != r and dense[i][c] != 0:
-                f = dense[i][c]
-                dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
-        pivots[c] = r
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    x1_sq = Polynomial(ndim, {(2,) + (0,) * (ndim - 1): 1})
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pc, pr in pivots.items():
-            vec[pc] = -dense[pr][fc]
-        basis.append(vec)
-    return basis
+    for a in _monomials(ndim, degree):
+        if a[0] > 1:
+            continue
+        term, parts, k = Polynomial(ndim, {a: 1}), [], a[0]
+        while not term.is_zero():
+            parts.append(term)
+            lap = _sum(ndim, (term.diff(i).diff(i) for i in range(1, ndim)))
+            term = lap * x1_sq * Fraction(-1, (k + 1) * (k + 2))
+            k += 2
+        basis.append(_sum(ndim, parts))
+    return tuple(basis)
 
 
 # -- torsion polynomials ---------------------------------------------------------------
@@ -481,8 +444,9 @@ def random_rational_points(ndim, count, seed):
 
 def identity_case_table(dims, degree, cases, seed0=0):
     """Pass/fail rows for the CLI: both symbolic identities per random pair."""
-    if cases < 1:
-        raise InvalidSpec(f"need at least one case per dimension, got {cases}")
+    if not (1 <= cases and len(dims) * cases <= MAX_CASES):
+        raise InvalidSpec(f"need at least one case per dimension and at most "
+                          f"{MAX_CASES} rows, got {len(dims)} x {cases}")
     for ndim in dims:
         check_ring(ndim, degree)
     rows = []

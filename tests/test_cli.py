@@ -381,13 +381,15 @@ def _one_gib_address_space():
         ["--N", "100000000000000000000000"],
         ["--N", "1000000", "--degree", "2", "--cases", "1"],
         ["--degree", "100000"],
+        ["--cases", "1000000000"],
     ],
-    ids=["huge-dimension", "ring-of-dimension", "ring-of-degree"],
+    ids=["huge-dimension", "ring-of-dimension", "ring-of-degree", "case-count"],
 )
 def test_pointwise_ring_beyond_cap_fails_fast(tmp_path, argv):
-    """Rings beyond the cap are rejected before any polynomial is built.
-    Without that they crash, exhaust memory or run for minutes, so each runs
-    in a fresh interpreter with 1 GiB of address space and a timeout."""
+    """Rings and case tables beyond their caps are rejected before any
+    polynomial is built.  Without that they crash, exhaust memory or run for
+    minutes, so each runs in a fresh interpreter with 1 GiB of address space
+    and a timeout."""
     src = str(Path(serrinlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     out = subprocess.run(

@@ -23,14 +23,48 @@ from serrinlab.polycheck import (
 )
 
 
-def test_harmonic_basis_plane():
-    # degree 2 in the plane: x^2 - y^2 and 2xy
-    basis = harmonic_basis(2, 2)
-    assert len(basis) == 2
+def _in_span(p, basis):
+    """p equals the combination of the basis whose weights are p's
+    coefficients on the basis' leading monomials (x_1-exponent <= 1)."""
+    lead = {m: c for m, c in p.terms.items() if m[0] <= 1}
+    combo = Polynomial(p.nvars)
     for b in basis:
-        assert b.laplacian(2).is_zero()
-    assert basis[0].terms == {(2, 0): 1, (0, 2): -1}
-    assert basis[1].terms == {(1, 1): 2}
+        (m,) = (m for m in b.terms if m[0] <= 1)
+        combo = combo + b * lead.get(m, 0)
+    return combo == p
+
+
+def test_harmonic_basis_plane():
+    # degree 2 in the plane: xy and y^2 - x^2, which span x^2 - y^2 and 2xy
+    basis = harmonic_basis(2, 2)
+    assert [b.terms for b in basis] == [{(1, 1): 1}, {(0, 2): 1, (2, 0): -1}]
+    assert _in_span(Polynomial(2, {(2, 0): 1, (0, 2): -1}), basis)
+    assert _in_span(Polynomial(2, {(1, 1): 2}), basis)
+    assert not _in_span(Polynomial(2, {(2, 0): 1}), basis)
+
+
+def test_harmonic_basis_properties():
+    for ndim in range(2, 9):
+        for degree in range(7):
+            basis = harmonic_basis(ndim, degree)
+            assert all(b.laplacian(ndim).is_zero() for b in basis)
+            expect = math.comb(ndim + degree - 1, degree) - (
+                math.comb(ndim + degree - 3, degree - 2) if degree >= 2 else 0
+            )
+            assert len(basis) == expect
+            # independent: each element's one term of x_1-exponent <= 1 is its
+            # leading monomial, with coefficient 1, and no two share it
+            leads = [[(m, c) for m, c in b.terms.items() if m[0] <= 1] for b in basis]
+            assert all(len(low) == 1 and low[0][1] == 1 for low in leads)
+            assert len({low[0][0] for low in leads}) == len(basis)
+    for degree in range(1, 7):
+        # Re and Im of (x + i y)^d: C(d, k) x^(d-k) (i y)^k
+        re, im = {}, {}
+        for k in range(degree + 1):
+            part = im if k % 2 else re
+            part[(degree - k, k)] = math.comb(degree, k) * (-1) ** (k // 2)
+        for p in (re, im):
+            assert _in_span(Polynomial(2, p), harmonic_basis(2, degree))
 
 
 @pytest.mark.parametrize("ndim,degree", [(3, 2), (3, 4), (4, 3), (5, 4), (8, 2)])
@@ -61,6 +95,8 @@ def test_ring_beyond_cap_is_rejected_before_any_polynomial(monkeypatch):
                         lambda *args: built.append(args))
     with pytest.raises(InvalidSpec):
         identity_case_table([2, 9], 4, 1)   # C(13, 4) = 715 monomials at N = 9
+    with pytest.raises(InvalidSpec):
+        identity_case_table([2, 3], 2, 5_001)   # 10,002 rows, MAX_CASES + 2
     assert built == []
     check_ring(8, 4)   # C(12, 4) = 495, the largest ring the README runs
 
