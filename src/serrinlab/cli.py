@@ -34,7 +34,6 @@ from .polycheck import identity_case_table
 from .spectral import check_l2_oscillation_bound, eigenvalues
 from .stability import (
     IDENTITY_TOL,
-    NOISE_FLOOR,
     SWEEP_R2_MIN,
     SWEEP_SLOPE_MAX,
     SWEEP_SLOPE_MIN,
@@ -44,6 +43,7 @@ from .stability import (
     family_domain,
     geometric_bounds_check,
     identity_reports,
+    is_rigid,
     loglog_fit,
     oscillation_bound_check,
     stability_sweep,
@@ -214,8 +214,7 @@ def cmd_verify_identity(args, run):
     for rep in reports:
         data = {**vars(rep), "anchor": ANCHORS[rep.identity]}
         run.write_json(f"identity_{rep.identity}.json", data)
-        rigid = max(abs(rep.lhs), abs(rep.rhs)) <= NOISE_FLOOR
-        if rep.rel_residual > IDENTITY_TOL and not rigid:
+        if rep.rel_residual > IDENTITY_TOL and not is_rigid(rep, domain):
             status = CONTRACT_FAIL
     return run.finish(status)
 

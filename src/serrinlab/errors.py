@@ -34,7 +34,7 @@ class SolverFailure(SerrinLabError):
 
 
 class DegeneratePatch(SerrinLabError):
-    """A recovery patch has no usable elements."""
+    """A recovery patch holds fewer than 3 elements."""
 
 
 # -- identity evaluation gates -------------------------------------------

@@ -82,6 +82,11 @@ class RadialDomain:
         return point, nu, kappa, speed
 
     @functools.cached_property
+    def area(self) -> float:
+        """|Omega|, apart from `measures`, whose sphere radius costs far more."""
+        return periodic_integral(lambda t: 0.5 * self.radius(t) ** 2)
+
+    @functools.cached_property
     def measures(self) -> DomainMeasures:
         return _compute_measures(self)
 
@@ -280,7 +285,7 @@ def domain_from_spec(spec) -> RadialDomain:
 
 
 def _compute_measures(domain) -> DomainMeasures:
-    area = periodic_integral(lambda t: 0.5 * domain.radius(t) ** 2)
+    area = domain.area
     perimeter = periodic_integral(lambda t: domain.frame_arrays(t)[3])
     R = 2.0 * area / perimeter
 

@@ -20,6 +20,7 @@ instead of producing meaningless residuals.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -38,7 +39,7 @@ from .boundary import (
 from .meshfem import SOURCE, FemField, neumann_flux, quad_integral, recovered_hessian_at_quad
 
 RESIDUAL_FLOOR = 1e-14
-RIGIDITY_TOL = 1e-6   # an identity side at most this counts as <= 0
+RIGIDITY_TOL = 1e-6   # an identity side at most this times identity_scale counts as <= 0
 
 # every identity id, with the equation of the paper it checks
 ANCHORS = {
@@ -68,6 +69,13 @@ def domain_fingerprint(mesh):
     payload = json.dumps(mesh.domain.spec_dict(), sort_keys=True)
     digest = hashlib.sha256(f"{payload}|h={mesh.h_target}".encode()).hexdigest()
     return digest[:12]
+
+
+def identity_scale(domain):
+    """(|Omega| / pi)^2, the size of an identity side on the domain: u
+    scales as length^2, dx as length^2 and ds as length, so both sides of
+    every identity scale as length^4.  1 on the unit disk."""
+    return (domain.area / math.pi) ** 2
 
 
 def _report(identity_id, terms, lhs, rhs, mesh, extras=None):
@@ -249,7 +257,8 @@ def eval_neumann_identity(u_field, z) -> IdentityReport:
 
     The volume term is non-negative, so a non-positive right-hand side
     forces h affine and the domain a disk; extras["rigidity_holds"] records
-    that implication with both sides read at the tolerance RIGIDITY_TOL.
+    that implication with both sides read at the tolerance
+    RIGIDITY_TOL * identity_scale.
     """
     osc_unu = audit_neumann(u_field)
     mesh = u_field.mesh
@@ -271,11 +280,12 @@ def eval_neumann_identity(u_field, z) -> IdentityReport:
         "surface_curvature_tangential": t3,
     }
     rhs = t1 + t2 + t3
+    tol = RIGIDITY_TOL * identity_scale(mesh.domain)
     extras = {
         "z": list(np.asarray(z, dtype=float)),
         "R": float(R),
         "osc_u_nu": float(osc_unu),
-        "rigidity_holds": bool(rhs > RIGIDITY_TOL or volume <= RIGIDITY_TOL),
+        "rigidity_holds": bool(rhs > tol or volume <= tol),
     }
     return _report("neumann_1_11", terms, volume, rhs, mesh, extras)
 

@@ -102,18 +102,6 @@ def p2_dshape(ref):
     return np.stack([dxi, deta], axis=2)
 
 
-# constant reference Hessians (xx, yy, xy) per shape function
-_P2_D2 = np.array(
-    [
-        [4.0, 4.0, 4.0],
-        [4.0, 0.0, 0.0],
-        [0.0, 4.0, 0.0],
-        [0.0, 0.0, 4.0],
-        [0.0, -8.0, -4.0],
-        [-8.0, 0.0, -4.0],
-    ]
-)
-
 _EDGE_SHAPE = lambda s: np.stack(
     [(1 - s) * (1 - 2 * s), s * (2 * s - 1), 4 * s * (1 - s)], axis=1
 )
@@ -575,21 +563,7 @@ class RecoveredDerivatives:
     def __init__(self, gradient, hessian, flagged):
         self.gradient = gradient    # (n, 2)
         self.hessian = hessian      # (n, 3): xx, yy, xy
-        self.flagged = flagged      # node indices that fell back to element values
-
-
-def _element_hessians(field):
-    """Constant per-element Hessian from the affine part of the map."""
-    mesh = field.mesh
-    _, inv = mesh.vertex_jacobian()
-    c = field.coeffs[mesh.triangles]               # (T,6)
-    h_ref = c @ _P2_D2                             # (T,3): xx, yy, xy in ref coords
-    Href = np.empty((len(c), 2, 2))
-    Href[:, 0, 0] = h_ref[:, 0]
-    Href[:, 1, 1] = h_ref[:, 1]
-    Href[:, 0, 1] = Href[:, 1, 0] = h_ref[:, 2]
-    Hph = np.einsum("tdi,tde,tej->tij", inv, Href, inv)
-    return np.stack([Hph[:, 0, 0], Hph[:, 1, 1], 0.5 * (Hph[:, 0, 1] + Hph[:, 1, 0])], 1)
+        self.flagged = flagged      # always []: a patch under 3 elements raises
 
 
 def _recover(field):
@@ -598,8 +572,9 @@ def _recover(field):
     Element gradients are sampled at interior points and fitted with a
     linear polynomial per node patch; the fit value at the node is the
     recovered gradient, its slope the recovered Hessian.  Patches with
-    fewer than 3 elements are extended by one vertex ring; nodes whose
-    patch cannot support a fit fall back to element values and are flagged.
+    fewer than 3 elements are extended by one vertex ring (`_patch_matrix`,
+    which raises DegeneratePatch where that is still too few), so every
+    node takes the same fit.
 
     The normal matrices depend on the mesh alone (`_recovery_geometry`); a
     field adds only its element moments G0 = sum_q g_q and G1 = sum_q r_q g_q^T,
@@ -626,15 +601,7 @@ def _recover(field):
     grad = sol[:, 0].copy()                                # not a view holding sol
     hxy = 0.5 * (sol[:, 2, 0] + sol[:, 1, 1])
     hess = np.stack([sol[:, 1, 0], sol[:, 2, 1], hxy], 1) / scale[:, None]
-
-    flagged = geo["flagged"]
-    if flagged:
-        elem_hess = _element_hessians(field)
-        for n in flagged:
-            elems = geo["patches"][n].indices
-            grad[n] = gsamp[elems].mean(axis=(0, 1))
-            hess[n] = elem_hess[elems].mean(axis=0)
-    return RecoveredDerivatives(grad, hess, flagged)
+    return RecoveredDerivatives(grad, hess, [])
 
 
 _BLOCK = 4096   # nodes per block of patch sums
@@ -679,9 +646,8 @@ def _recovery_geometry(mesh):
     the normal matrices as patch sums.  R1 is zero only to rounding, which
     1 / s_n amplifies, so it is kept.  Holds the sample Jacobians "inv"
     (T,3,2,2), the offsets "r" (T,3,2), the sample means "xbar" (T,2), the
-    scale s_n, the "patches" (`_patch_matrix`), the (n,3,3) normal matrices
-    (the identity where a patch cannot support a fit) and the flagged
-    nodes.  d_ne is not held: `_patch_blocks` forms it one block of nodes
+    scale s_n, the "patches" (`_patch_matrix`) and the (n,3,3) normal
+    matrices.  d_ne is not held: `_patch_blocks` forms it one block of nodes
     at a time, here and in each `_recover`.
     """
     coords = mesh.nodes[mesh.triangles]
@@ -726,22 +692,21 @@ def _recovery_geometry(mesh):
         block[:, 1, 2] = block[:, 2, 1] = (
             pr2[:, 2] + xr1[:, 1] + yr1[:, 0] + 3.0 * rowsum(dx * dy)
         )
-    flagged = np.flatnonzero(np.diff(patches.indptr) < 3)
-    normal[flagged] = np.eye(3)
     return {"inv": inv, "r": r, "xbar": xbar, "scale": scale, "patches": patches,
-            "normal": normal, "flagged": flagged.tolist()}
+            "normal": normal}
 
 
 def _patch_matrix(mesh):
     """CSR node -> patch elements: the incident elements, or for a node with
-    fewer than 3 of them, every element sharing a vertex with one of them."""
+    fewer than 3 of them, every element sharing a vertex with one of them.
+
+    A patch still under 3 elements after that (one of a node that no element
+    uses included) raises DegeneratePatch.  No mesh from `generate_mesh` has
+    one: every element has a vertex off the boundary ring, whose closed fan
+    holds at least 3 elements.
+    """
     incid = mesh.node_elements
-    counts = np.diff(incid.indptr)
-    if not counts.all():
-        raise DegeneratePatch(f"node {np.argmin(counts)} has no incident elements")
-    small = counts < 3
-    if not small.any():
-        return incid
+    small = np.diff(incid.indptr) < 3
     n_t = len(mesh.triangles)
     elem_verts = sp.csr_matrix(
         (np.ones(3 * n_t, dtype=bool), mesh.triangles[:, :3].ravel(),
@@ -750,6 +715,10 @@ def _patch_matrix(mesh):
     )
     grown = incid[small] @ elem_verts @ incid
     grown.sort_indices()
+    counts = np.diff(grown.indptr)
+    if (counts < 3).any():
+        n = np.flatnonzero(small)[counts.argmin()]
+        raise DegeneratePatch(f"node {n}: its patch holds {counts.min()} elements, fewer than 3")
     rows = np.concatenate([np.flatnonzero(~small), np.flatnonzero(small)])
     return sp.vstack([incid[~small], grown], format="csr")[np.argsort(rows)]
 

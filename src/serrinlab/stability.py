@@ -35,6 +35,7 @@ from .identities import (
     eval_mother_identity,
     eval_neumann_identity,
     hess_h_sq_quad,
+    identity_scale,
     paraboloid_field,
     weighted_volume,
 )
@@ -51,7 +52,7 @@ from .meshfem import (
 HOLDER_ALPHA = 0.5   # the Hoelder exponent of every C^{0,alpha} deviation
 IDENTITY_TOL = 1e-2  # verify-identity passes when rel_residual <= IDENTITY_TOL
 RIGID_GAP_FLOOR = 1e-10
-NOISE_FLOOR = 1e-8   # identity terms below this are rigid-case noise
+NOISE_FLOOR = 1e-8   # identity sides below this times identity_scale are rigid-case noise
 REL_FLOOR = 1e-6     # relative residuals below this are converged noise
 GRAD_TOL = 1e-3      # largest |grad h| accepted at the minimum point
 SWEEP_FIT_MIN = 4    # non-rigid records an exponent fit needs
@@ -402,11 +403,17 @@ def identity_reports(mesh, identity_id):
     return list(eval_mother_identity(u, z))
 
 
+def is_rigid(rep, domain):
+    """Whether both sides of an identity report sit at the rigid-case noise
+    floor, relative to the domain's identity_scale."""
+    return max(abs(rep.lhs), abs(rep.rhs)) <= NOISE_FLOOR * identity_scale(domain)
+
+
 def convergence_study(domain, identity_id, h_list):
     """Identity residuals over mesh levels with a fitted order.
 
-    Returns (rows, fitted_order, flag); flag is "rigid" when every identity
-    term sits at the ball-case noise floor, "converged" when the relative
+    Returns (rows, fitted_order, flag); flag is "rigid" when the identity
+    is rigid (`is_rigid`) at every level, "converged" when the relative
     residual is already below the noise band at all levels (closed-form
     oracle domains), and None otherwise, in which case the order is fitted
     and must be positive.
@@ -415,10 +422,11 @@ def convergence_study(domain, identity_id, h_list):
         raise InvalidSpec(f"need at least 3 distinct mesh levels, got {h_list}")
     if not all(h > 0 for h in h_list):
         raise InvalidSpec(f"mesh levels must be positive, got {h_list}")
-    rows = []
+    rows, rigid = [], []
     for h in h_list:
         reports = identity_reports(generate_mesh(domain, h), identity_id)
         rep = next(r for r in reports if r.identity == identity_id)
+        rigid.append(is_rigid(rep, domain))
         rows.append(
             {
                 "h": h,
@@ -427,7 +435,7 @@ def convergence_study(domain, identity_id, h_list):
                 "scale": max(abs(rep.lhs), abs(rep.rhs)),
             }
         )
-    if all(r["scale"] <= NOISE_FLOOR for r in rows):
+    if all(rigid):
         return rows, None, "rigid"
     if all(r["rel_residual"] <= REL_FLOOR for r in rows):
         return rows, None, "converged"

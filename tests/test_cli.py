@@ -168,6 +168,36 @@ def test_verify_identity_tight_tol_fails(tmp_path, pdisk_spec, monkeypatch):
     assert code == 2
 
 
+def test_verdicts_agree_on_scaled_domains(tmp_path, monkeypatch):
+    # u scales as length^2, dx as length^2 and ds as length, so both sides of
+    # every identity scale as length^4: a copy of a domain scaled by lam and
+    # meshed at lam times the same h reaches the same verdicts
+    def verify(lam, modes, identity, h):
+        spec = tmp_path / f"spec_{lam}_{len(modes)}.json"
+        spec.write_text(json.dumps({"rho0": lam, "modes": modes}))
+        out = tmp_path / f"run_{lam}_{identity}"
+        code = main(["--out", str(out), "verify-identity", "--identity", identity,
+                     "--domain", str(spec), "--h-target", str(h * lam)])
+        return code, json.loads((out / f"identity_{identity}.json").read_text())
+
+    lams = (0.01, 1.0, 100.0)
+    rigid = [verify(lam, [], "neumann_1_11", 0.05) for lam in lams]
+    assert [code for code, _ in rigid] == [0, 0, 0]
+    assert [rep["extras"]["rigidity_holds"] for _, rep in rigid] == [True] * 3
+    studies = [
+        convergence_study(build_domain(lam, [(2, 0.05, 0.0)]), "general_1_9",
+                          [0.2 * lam, 0.1 * lam, 0.05 * lam])
+        for lam in lams
+    ]
+    assert [flag for _, _, flag in studies] == [None] * 3
+    orders = np.array([order for _, order, _ in studies])
+    assert np.abs(orders - orders[1]).max() <= 1e-6 * orders[1]
+    # a contract too tight for any mesh fails at every scale
+    monkeypatch.setattr(cli, "IDENTITY_TOL", 1e-12)
+    codes = [verify(lam, [[2, 0.05, 0.0]], "general_1_9", 0.1)[0] for lam in lams]
+    assert codes == [2, 2, 2]
+
+
 def test_pointwise_identity(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(

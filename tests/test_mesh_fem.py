@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,16 +18,16 @@ from conftest import (
     l2_error,
 )
 from serrinlab._quadrature import _D4_GROUPS, _D8_GROUPS, triangle_rule
-from serrinlab.errors import MeshTooFine
+from serrinlab.errors import DegeneratePatch, MeshTooFine
 from serrinlab.geometry import build_domain
 from serrinlab import meshfem, stability
 from serrinlab.meshfem import (
     _SPR_REF,
     FemField,
     Mesh,
-    _element_hessians,
     _element_stiffness,
     _inverse_jacobian,
+    _patch_matrix,
     _recover,
     _reference_matrices,
     _scatter,
@@ -463,7 +463,8 @@ def test_recover_gradient_quadratic(disk_mesh):
 
 
 def _loop_recover(field):
-    """Reference patch recovery: one least-squares solve per node."""
+    """Reference patch recovery: one least-squares solve per node.  Nodes
+    whose grown patch holds fewer than 3 elements are listed and left at 0."""
     mesh = field.mesh
     tris = mesh.triangles
     coords = mesh.nodes[tris]
@@ -476,7 +477,6 @@ def _loop_recover(field):
     for t, row in enumerate(tris):
         for n in row:
             node_elems[n].append(t)
-    elem_hess = None
     grad = np.zeros((mesh.n_nodes, 2))
     hess = np.zeros((mesh.n_nodes, 3))
     flagged = []
@@ -489,10 +489,6 @@ def _loop_recover(field):
                     seen.update(node_elems[v])
             elems = sorted(seen)
         if len(elems) < 3:
-            if elem_hess is None:
-                elem_hess = _element_hessians(field)
-            grad[n] = gsamp[elems].mean(axis=(0, 1))
-            hess[n] = elem_hess[elems].mean(axis=0)
             flagged.append(n)
             continue
         pts = psamp[elems].reshape(-1, 2) - mesh.nodes[n]
@@ -596,7 +592,7 @@ def test_mesh_cache_bytes_per_node(general_1_9_caches):
 
 def test_recover_fallback_two_elements():
     # two straight elements sharing an edge: every patch, extended or not,
-    # holds both, so every node falls back to element averages
+    # holds both, too few for the linear fit, so recovery raises
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     mids = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.5, 1.0], [1.0, 0.5]])
     tris = np.array([[0, 1, 2, 4, 5, 6], [1, 3, 2, 7, 4, 8]])
@@ -604,14 +600,21 @@ def test_recover_fallback_two_elements():
                 np.array([]), np.empty((0, 3), dtype=int), 1.0, 1.0)
     x, y = mesh.nodes.T
     f = FemField(mesh, x**2 + 3 * x * y - y**2 + 2 * x)
-    rec = _recover(f)
-    assert rec.flagged == list(range(9))
-    # gradient averaged over the six sample points: its value at (1/2, 1/2)
-    assert np.abs(rec.gradient - [4.5, 0.5]).max() <= 1e-13
-    assert np.abs(rec.hessian - [2.0, -2.0, 3.0]).max() <= 1e-12
-    grad, hess, flagged = _loop_recover(f)
-    assert flagged == rec.flagged
-    assert np.array_equal(rec.gradient, grad) and np.array_equal(rec.hessian, hess)
+    with pytest.raises(DegeneratePatch, match="node 0: its patch holds 2 elements"):
+        _recover(f)
+    assert _loop_recover(f)[2] == list(range(9))
+
+
+def test_recover_orphan_node_raises(disk):
+    # a node that no element uses has an empty patch, which growth keeps empty
+    mesh = generate_mesh(disk, 0.5)
+    orphan = Mesh(None, np.vstack([mesh.nodes, [[0.1, 0.2]]]), mesh.triangles,
+                  mesh.n_vertices, mesh.boundary_idx, mesh.boundary_theta,
+                  mesh.boundary_edges, mesh.h_target, mesh.h_max)
+    f = FemField(orphan, np.append(mesh.nodes[:, 0] ** 2, 0.0))
+    with pytest.raises(DegeneratePatch, match=f"node {mesh.n_nodes}: its patch holds 0 "):
+        _recover(f)
+    assert _recover(FemField(mesh, mesh.nodes[:, 0] ** 2)).flagged == []
 
 
 def test_recover_ellipse_torsion_hessian(ellipse_dirichlet):
@@ -735,6 +738,46 @@ def test_ball_rigidity_volume_integral(disk_dirichlet):
 
 
 # -- mesh properties over random domains ------------------------------------------
+
+def _mode_budget(modes, budget):
+    """modes scaled so that sum k^2 (|a_k| + |b_k|) equals budget."""
+    total = sum(k * k * (abs(a) + abs(b)) for k, a, b in modes) or 1.0
+    return [(k, a * budget / total, b * budget / total) for k, a, b in modes]
+
+
+_centres = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+# star domains with 1-2 modes up to the Fourier truncation bound (non-convex
+# ones included), and ellipses of aspect up to 4:1, about random centres
+patch_domain_specs = st.one_of(
+    st.fixed_dictionaries({
+        "rho0": st.floats(0.5, 2.0),
+        "modes": st.builds(
+            _mode_budget,
+            st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0),
+                               st.floats(-1.0, 1.0)), min_size=1, max_size=2),
+            st.floats(0.0, 0.95),
+        ),
+        "center": _centres,
+    }),
+    st.builds(
+        lambda b, aspect, wide, center: {
+            "ellipse": (b * aspect, b) if wide else (b, b * aspect), "center": center},
+        st.floats(0.5, 2.0), st.floats(1.0, 4.0), st.booleans(), _centres,
+    ),
+)
+
+
+@settings(max_examples=30)
+@given(spec=patch_domain_specs, h_rel=st.floats(0.08, 0.9))
+@example(spec={"rho0": 1.0, "modes": [(1, 0.6, 0.0)]}, h_rel=0.08)
+@example(spec={"rho0": 1.0, "modes": [(2, 0.24, 0.0)]}, h_rel=0.08)
+@example(spec={"ellipse": (4.0, 1.0), "center": (0.7, -0.3)}, h_rel=0.08)
+def test_every_grown_patch_holds_three_elements(spec, h_rel):
+    # the invariant that lets _patch_matrix raise instead of falling back
+    dom = domain_or_reject(spec)
+    mesh = generate_mesh(dom, h_rel * dom.rho0)
+    assert np.diff(_patch_matrix(mesh).indptr).min() >= 3
+
 
 @settings(max_examples=20)
 @given(spec=domain_specs, h=st.floats(0.2, 0.3))
